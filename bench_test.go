@@ -915,15 +915,21 @@ func BenchmarkEngineSparse(b *testing.B) {
 }
 
 // BenchmarkEngineParallel runs the identical simulation under the
-// parallel engine at several worker counts. On a multicore host the
-// n=128/m=16 shape with >=4 workers is the headline speedup case; on a
-// single-CPU host it degenerates to measuring barrier overhead (the
-// worker counts still exercise the full scheduling machinery).
+// parallel engine at 1, 2 and 4 workers and at GOMAXPROCS. The case
+// names are fixed (workersMax, not the host's core count), so a baseline
+// recorded on one host matches a run on another and no two cases share
+// a name. On a single-CPU host the parallel cases degenerate to
+// measuring barrier overhead (the worker counts still exercise the full
+// scheduling machinery).
 func BenchmarkEngineParallel(b *testing.B) {
+	workers := []struct {
+		name string
+		n    int
+	}{{"workers1", 1}, {"workers2", 2}, {"workers4", 4}, {"workersMax", runtime.GOMAXPROCS(0)}}
 	for _, sh := range engineBenchShapes {
-		for _, w := range []int{2, 4, runtime.GOMAXPROCS(0)} {
-			b.Run(fmt.Sprintf("n%d_m%d/workers%d", sh.n, sh.m, w), func(b *testing.B) {
-				engineBenchRun(b, func() cfm.Engine { return cfm.NewParallelClock(w) }, sh.n, sh.m)
+		for _, w := range workers {
+			b.Run(fmt.Sprintf("n%d_m%d/%s", sh.n, sh.m, w.name), func(b *testing.B) {
+				engineBenchRun(b, func() cfm.Engine { return cfm.NewParallelClock(w.n) }, sh.n, sh.m)
 			})
 		}
 	}

@@ -126,6 +126,54 @@ func TestEquivPartialFig315(t *testing.T) {
 	})
 }
 
+// TestEquivPartialIndexMap runs the Partial scenarios where the
+// set-major processor layout degenerates (one processor per cluster, a
+// single module) or meets a §7.2 Homes placement through every engine
+// mode: the serial clock dense and skip-ahead, and ParallelClock at 1, 2
+// and 4 workers, per-slot and epoch-batched, dense and skip-ahead. Every
+// mode must match the dense serial oracle on counters, registry, flight
+// digest and the component's snapshot bytes, both uninterrupted and
+// resumed from a checkpoint cut mid-run under the same mode.
+func TestEquivPartialIndexMap(t *testing.T) {
+	type mode struct {
+		name string
+		mk   func() cfm.Engine
+	}
+	modes := []mode{{"serial-skip", func() cfm.Engine {
+		eng := cfm.NewClock()
+		eng.SetSkipAhead(true)
+		return eng
+	}}}
+	for _, w := range []int{1, 2, 4} {
+		for _, batch := range []int{1, 5} {
+			for _, skip := range []bool{false, true} {
+				modes = append(modes, mode{fmt.Sprintf("w%d-k%d-skip=%v", w, batch, skip), func() cfm.Engine {
+					eng := cfm.NewParallelClock(w)
+					eng.SetEpochBatch(batch)
+					eng.SetSkipAhead(skip)
+					return eng
+				}})
+			}
+		}
+	}
+	for _, name := range []string{"PartialOnePerCluster", "PartialSingleModule", "PartialHomes"} {
+		t.Run(name, func(t *testing.T) {
+			rc := resumeCaseNamed(t, name)
+			want, total := resumeOracle(rc)
+			cut := total / 2
+			for _, m := range modes {
+				eng := m.mk()
+				finish, digest := rc.build(eng)
+				finish()
+				if got := digest(); got != want {
+					t.Fatalf("%s diverged from the dense serial oracle:\nserial %s\n%s %s", m.name, want, m.name, got)
+				}
+				restoreAndFinish(t, rc, m.mk, checkpointAt(t, rc, m.mk, cut), cut, want)
+			}
+		})
+	}
+}
+
 // TestEquivCFMemoryTraced drives the conflict-free memory with a
 // deterministic per-processor access pattern, tracing enabled, and
 // requires identical trace digests and final block contents.

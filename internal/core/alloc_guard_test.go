@@ -42,9 +42,10 @@ func TestBankTickLoopAllocFree(t *testing.T) {
 }
 
 // TestPartialDenseTickAllocFree guards the zero-allocation steady state
-// of the dense serial sweep: with the open-loop arrival rate below the
-// service rate the backlog rings reach a stable depth, after which every
-// tick is index arithmetic over the flat per-processor arrays. (The
+// of the shard sweep under the serial clock: with the open-loop arrival
+// rate below the service rate the backlog rings reach a stable depth,
+// after which every tick is index arithmetic over the flat
+// per-processor arrays. (The
 // saturated bench shapes DO allocate — their backlogs grow without
 // bound by design — so the guard runs an underloaded system.)
 func TestPartialDenseTickAllocFree(t *testing.T) {

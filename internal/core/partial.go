@@ -105,20 +105,27 @@ func (c PartialConfig) ContentionSet(p int) int { return p % c.ClusterSize() }
 // Think times and retry delays are materialized when the triggering event
 // fires, never per slot, so skip-ahead jumps leave the streams intact.
 //
+// Every per-processor array is stored set-major: processor i lives at
+// index idx(i) = (i mod cs)·m + i/cs, so contention set s is the one
+// contiguous range [s·m, (s+1)·m), in ascending processor order. The
+// ports are stored the same way, (module, set) at set·m + module. A
+// shard's whole state is thus its own slice of each array, and two
+// shards can share a cache line only where their ranges meet.
+//
 //cfm:rng=event
 //cfm:soa
 type Partial struct {
 	cfg PartialConfig
 	// rngs holds one independent stream per processor (split from the
-	// config seed), so a processor's stochastic behaviour never depends
-	// on the order in which other processors draw — the property that
-	// lets contention-set shards run concurrently. The streams are
-	// stored inline (sim.RNG is a single word) so the dense tick sweep
-	// reads them off one flat array instead of chasing per-processor
-	// heap pointers.
+	// config seed in processor order), so a processor's stochastic
+	// behaviour never depends on the order in which other processors
+	// draw — the property that lets contention-set shards run
+	// concurrently. The streams are stored inline (sim.RNG is a single
+	// word) so the sweep reads them off one flat array instead of chasing
+	// per-processor heap pointers.
 	rngs []sim.RNG
 
-	// ports[(module, set)] busy-until slot.
+	// ports[portIndex(module, set)] is the port's busy-until slot.
 	ports []sim.Slot
 
 	state       []procState
@@ -132,22 +139,22 @@ type Partial struct {
 	// through enc.Int either way, so the width is invisible to them.
 	targetMod []int32
 
-	// nextEvent[i] caches the earliest slot at which processor i has any
-	// work: its next open-loop arrival, retry wake, or completion —
-	// exactly the per-processor minimum Horizon folds. The tick sweep
-	// consults this ONE dense array and skips a processor entirely while
-	// t < nextEvent[i]; the skipped iterations are provably no-ops (no
-	// state change, no RNG draw), so the sweep stays bit-identical while
-	// quiescent processors cost one compare on one cache line instead of
-	// a walk over every per-processor array. Derived state: rebuilt after
-	// LoadState, never serialized.
+	// nextEvent[j] caches the earliest slot at which the processor stored
+	// at j has any work: its next open-loop arrival, retry wake, or
+	// completion — exactly the per-processor minimum Horizon folds. The
+	// shard sweep consults this ONE dense array and skips a processor
+	// entirely while t < nextEvent[j]; the skipped iterations are no-ops
+	// (no state change, no RNG draw), so quiescent processors cost one
+	// compare instead of a walk over every per-processor array. Derived
+	// state: rebuilt after LoadState, never serialized.
 	//cfm:rebuilt
 	nextEvent []sim.Slot
-	// home[i] is processor i's home module, materialized from the
-	// configuration so the issue path reads a flat array instead of
-	// re-deriving Cluster(i) (an integer division) per event. cs and bt
-	// likewise pin ClusterSize and BlockTime, both derived by division
-	// in the config accessors, as plain loads for the per-event paths.
+	// home[j] is the home module of the processor stored at j,
+	// materialized from the configuration so the issue path reads a flat
+	// array instead of re-deriving Cluster(i) (an integer division) per
+	// event. cs and bt likewise pin ClusterSize and BlockTime, both
+	// derived by division in the config accessors, as plain loads for the
+	// per-event paths.
 	home []int32
 	cs   int
 	bt   sim.Slot
@@ -198,8 +205,8 @@ type partialStage struct {
 }
 
 // procState is uint8 so a 4096-processor state array occupies 4KB, not
-// 32: the dense sweep touches it every event, and the narrow form keeps
-// it resident next to the other hot arrays.
+// 32: the sweep touches it every event, and the narrow form keeps it
+// resident next to the other hot arrays.
 type procState uint8
 
 const (
@@ -234,18 +241,29 @@ func NewPartial(cfg PartialConfig) *Partial {
 	}
 	seeder := sim.NewRNG(cfg.Seed)
 	for i := 0; i < n; i++ {
-		p.rngs[i] = *seeder.Split()
-		p.home[i] = int32(cfg.Home(i))
+		j := p.idx(i)
+		p.rngs[j] = *seeder.Split()
+		p.home[j] = int32(cfg.Home(i))
 		if cfg.Home(i) < 0 {
-			p.nextArrival[i] = 1 << 60 // idle processor: no traffic
-			p.nextEvent[i] = p.nextArrival[i]
+			p.nextArrival[j] = 1 << 60 // idle processor: no traffic
+			p.nextEvent[j] = p.nextArrival[j]
 			continue
 		}
-		p.nextArrival[i] = sim.Slot(p.thinkTime(i))
-		p.nextEvent[i] = p.nextArrival[i]
+		p.nextArrival[j] = sim.Slot(p.thinkTime(j))
+		p.nextEvent[j] = p.nextArrival[j]
 	}
 	return p
 }
+
+// idx returns processor i's index in the set-major per-processor arrays.
+func (p *Partial) idx(i int) int { return i%p.cs*p.cfg.Modules + i/p.cs }
+
+// procOf returns the processor id stored at index j of contention set
+// set — the inverse of idx, for span IDs and actors.
+func (p *Partial) procOf(j, set int) int { return (j-set*p.cfg.Modules)*p.cs + set }
+
+// portIndex returns the index of (module, set)'s port.
+func (p *Partial) portIndex(mod, set int) int { return set*p.cfg.Modules + mod }
 
 // Instrument attaches registry metrics: completion/retry/latency and
 // local-vs-remote counters plus an access-latency histogram (bin width
@@ -269,12 +287,14 @@ func (p *Partial) Instrument(r *metrics.Registry) {
 // before running; nil detaches.
 func (p *Partial) RecordFlight(r *flight.Recorder) { p.flt = r }
 
-func (p *Partial) thinkTime(proc int) int {
+// thinkTime, retryDelay and pickModule draw from the stream of the
+// processor stored at index j.
+func (p *Partial) thinkTime(j int) int {
 	r := p.cfg.AccessRate
 	if r <= 0 {
 		return 1 << 30
 	}
-	rng := &p.rngs[proc]
+	rng := &p.rngs[j]
 	t := 1
 	for !rng.Bernoulli(r) {
 		t++
@@ -285,12 +305,12 @@ func (p *Partial) thinkTime(proc int) int {
 	return t
 }
 
-func (p *Partial) retryDelay(proc int) int {
+func (p *Partial) retryDelay(j int) int {
 	g := p.cfg.RetryMean
 	if g == 1 {
 		return 1
 	}
-	return 1 + p.rngs[proc].Intn(2*g-1)
+	return 1 + p.rngs[j].Intn(2*g-1)
 }
 
 // pickModule applies the locality model: probability λ of the HOME
@@ -298,48 +318,23 @@ func (p *Partial) retryDelay(proc int) int {
 // modules. LocalAcc counts home-module accesses whether or not the home
 // coincides with the processor's own cluster; the counts are staged in
 // the processor's contention-set shard.
-func (p *Partial) pickModule(proc int, st *partialStage) int {
-	local := int(p.home[proc])
-	if p.cfg.Modules == 1 || p.rngs[proc].Bernoulli(p.cfg.Locality) {
+func (p *Partial) pickModule(j int, st *partialStage) int {
+	local := int(p.home[j])
+	if p.cfg.Modules == 1 || p.rngs[j].Bernoulli(p.cfg.Locality) {
 		st.localAcc++
 		return local
 	}
 	st.remoteAcc++
-	mod := p.rngs[proc].Intn(p.cfg.Modules - 1)
+	mod := p.rngs[j].Intn(p.cfg.Modules - 1)
 	if mod >= local {
 		mod++
 	}
 	return mod
 }
 
-func (p *Partial) portIndex(mod, set int) int { return mod*p.cs + set }
-
-// Tick implements sim.Ticker with a dense natural-order sweep over
-// processors instead of SerialTick's shard-strided one. The sweeps are
-// bit-identical: processor i touches only its own per-processor state,
-// its contention set's ports, and its set's stage buffer, and ascending
-// processor order preserves the ascending order WITHIN each set that
-// the shard path produces — so every port outcome and every staged
-// stream comes out the same. What changes is the memory traffic: the
-// strided sweep pulls each cache line of the per-processor arrays once
-// per contention set (ClusterSize times per slot); this one pulls it
-// exactly once.
-func (p *Partial) Tick(t sim.Slot, ph sim.Phase) {
-	// Single range over nextEvent: natural processor order, no bounds
-	// checks, and the contention set tracked by a wrapping counter
-	// instead of a per-event modulo. The quiescence test lives in the
-	// caller so a skipped processor costs one compare, not a call.
-	cs, s := p.cs, 0
-	for i, ne := range p.nextEvent {
-		if t >= ne {
-			p.tickProc(t, i, s, &p.stage[s])
-		}
-		if s++; s == cs {
-			s = 0
-		}
-	}
-	p.FinishShards(t, ph)
-}
+// Tick implements sim.Ticker by delegating to the shard path, so the
+// serial and parallel engines run one sweep.
+func (p *Partial) Tick(t sim.Slot, ph sim.Phase) { sim.SerialTick(p, t, ph) }
 
 // PhaseMask implements sim.PhaseMasker: all the work is in PhaseIssue, so
 // the engines skip the other three phases entirely.
@@ -375,78 +370,83 @@ func (p *Partial) Horizon(now sim.Slot) sim.Slot {
 func (p *Partial) Shards() int { return p.cfg.ClusterSize() }
 
 // TickShard implements sim.Shardable: advance every processor of
-// contention set s, in ascending processor order.
+// contention set s — its own contiguous range of every array — in
+// ascending processor order. That within-set order is the only ordering
+// the serial/parallel equivalence needs: sets share no port and no
+// stage buffer, and FinishShards folds the stages in set order.
 func (p *Partial) TickShard(t sim.Slot, ph sim.Phase, s int) {
 	st := &p.stage[s]
-	for i := s; i < p.cfg.Processors; i += p.cs {
-		if t >= p.nextEvent[i] {
-			p.tickProc(t, i, s, st)
+	base := s * p.cfg.Modules
+	// The quiescence test lives here so a skipped processor costs one
+	// compare, not a call.
+	for c, ne := range p.nextEvent[base : base+p.cfg.Modules] {
+		if t >= ne {
+			p.tickProc(t, base+c, s, st)
 		}
 	}
 }
 
-// tickProc advances one processor at slot t, staging measurement deltas
-// into its contention set's stage buffer st (set is i's contention set,
-// already known to both callers). It is the shared body of the strided
-// shard sweep (TickShard) and the dense serial sweep (Tick); callers
-// guarantee t >= nextEvent[i] — quiescent processors are skipped at the
-// call site.
-func (p *Partial) tickProc(t sim.Slot, i, set int, st *partialStage) {
-	for t >= p.nextArrival[i] {
-		p.backlog[i].Push(p.nextArrival[i])
-		p.nextArrival[i] += sim.Slot(p.thinkTime(i))
+// tickProc advances the processor stored at index j (in contention set
+// set) at slot t, staging measurement deltas into the set's stage buffer
+// st. The caller guarantees t >= nextEvent[j].
+func (p *Partial) tickProc(t sim.Slot, j, set int, st *partialStage) {
+	for t >= p.nextArrival[j] {
+		p.backlog[j].Push(p.nextArrival[j])
+		p.nextArrival[j] += sim.Slot(p.thinkTime(j))
 	}
-	switch p.state[i] {
+	switch p.state[j] {
 	case procInFlight:
-		if t >= p.doneAt[i] {
+		if t >= p.doneAt[j] {
 			st.completed++
-			st.totalLatency += int64(p.doneAt[i] - p.issuedAt[i])
+			st.totalLatency += int64(p.doneAt[j] - p.issuedAt[j])
 			if p.mLatHist != nil {
-				st.lats = append(st.lats, int64(p.doneAt[i]-p.issuedAt[i]))
+				st.lats = append(st.lats, int64(p.doneAt[j]-p.issuedAt[j]))
 			}
 			if p.flt.Enabled() {
+				proc := p.procOf(j, set)
 				st.flights = append(st.flights, flight.Event{
-					ID: flight.ComposeID(i, p.issuedAt[i]), Slot: t,
-					Stage: flight.StageRetire, Actor: int32(i),
-					Arg: int64(p.doneAt[i] - p.issuedAt[i])})
+					ID: flight.ComposeID(proc, p.issuedAt[j]), Slot: t,
+					Stage: flight.StageRetire, Actor: int32(proc),
+					Arg: int64(p.doneAt[j] - p.issuedAt[j])})
 			}
-			p.state[i] = procIdle
+			p.state[j] = procIdle
 		}
 	case procWaiting:
-		if t >= p.wakeAt[i] {
-			p.attempt(t, i, set, st)
+		if t >= p.wakeAt[j] {
+			p.attempt(t, j, set, st)
 		}
 	}
-	if p.state[i] == procIdle && !p.backlog[i].Empty() {
-		p.backlog[i].Pop()
-		p.targetMod[i] = int32(p.pickModule(i, st))
-		p.issuedAt[i] = t
+	if p.state[j] == procIdle && !p.backlog[j].Empty() {
+		p.backlog[j].Pop()
+		p.targetMod[j] = int32(p.pickModule(j, st))
+		p.issuedAt[j] = t
 		if p.flt.Enabled() {
+			proc := p.procOf(j, set)
 			st.flights = append(st.flights, flight.Event{
-				ID: flight.ComposeID(i, t), Slot: t,
-				Stage: flight.StageIssue, Actor: int32(i),
-				Arg: int64(p.targetMod[i])})
+				ID: flight.ComposeID(proc, t), Slot: t,
+				Stage: flight.StageIssue, Actor: int32(proc),
+				Arg: int64(p.targetMod[j])})
 		}
-		p.attempt(t, i, set, st)
+		p.attempt(t, j, set, st)
 	}
-	p.nextEvent[i] = p.eventSlot(i)
+	p.nextEvent[j] = p.eventSlot(j)
 }
 
-// eventSlot computes processor i's earliest upcoming event. A settled
-// processor is idle with an empty backlog (anything queued would have
-// issued this slot), waiting with a wake slot, or in flight with a
-// completion slot, so the earliest of those and the next open-loop
-// arrival bounds its quiescence.
-func (p *Partial) eventSlot(i int) sim.Slot {
-	ne := p.nextArrival[i]
-	switch p.state[i] {
+// eventSlot computes the earliest upcoming event of the processor stored
+// at j. A settled processor is idle with an empty backlog (anything
+// queued would have issued this slot), waiting with a wake slot, or in
+// flight with a completion slot, so the earliest of those and the next
+// open-loop arrival bounds its quiescence.
+func (p *Partial) eventSlot(j int) sim.Slot {
+	ne := p.nextArrival[j]
+	switch p.state[j] {
 	case procWaiting:
-		if p.wakeAt[i] < ne {
-			ne = p.wakeAt[i]
+		if p.wakeAt[j] < ne {
+			ne = p.wakeAt[j]
 		}
 	case procInFlight:
-		if p.doneAt[i] < ne {
-			ne = p.doneAt[i]
+		if p.doneAt[j] < ne {
+			ne = p.doneAt[j]
 		}
 	}
 	return ne
@@ -483,11 +483,11 @@ func (p *Partial) FinishShards(t sim.Slot, ph sim.Phase) {
 
 // EpochSafe implements sim.EpochSafeTicker: Partial has global shard
 // closure, not just per-phase independence. A contention-set shard s
-// touches only shard-owned state — processors i ≡ s (mod ClusterSize)
-// and their RNG streams, the set-s ports (portIndex(·, s)), and
-// stage[s] — in every phase of every slot, and Partial never parks, so
-// the parallel engine may run shard s through a whole multi-slot
-// episode before shard s′ has started it.
+// touches only shard-owned state — its range [s·m, (s+1)·m) of every
+// per-processor array (RNG streams included), the same range of ports
+// (portIndex(·, s)), and stage[s] — in every phase of every slot, and
+// Partial never parks, so the parallel engine may run shard s through a
+// whole multi-slot episode before shard s′ has started it.
 func (p *Partial) EpochSafe() bool { return true }
 
 // FinishEpoch implements sim.EpochFinisher: one fold for the whole
@@ -539,27 +539,30 @@ func (p *Partial) FinishEpoch(from, to sim.Slot) {
 	}
 }
 
-func (p *Partial) attempt(t sim.Slot, proc, set int, st *partialStage) {
-	port := int(p.targetMod[proc])*p.cs + set
+// attempt tries to acquire the (target module, set) port for the
+// processor stored at j: a busy port schedules a retry, a free one is
+// held for β slots.
+func (p *Partial) attempt(t sim.Slot, j, set int, st *partialStage) {
+	port := p.portIndex(int(p.targetMod[j]), set)
 	if t < p.ports[port] {
 		st.retries++
-		p.state[proc] = procWaiting
-		p.wakeAt[proc] = t + sim.Slot(p.retryDelay(proc))
+		p.state[j] = procWaiting
+		p.wakeAt[j] = t + sim.Slot(p.retryDelay(j))
 		if p.flt.Enabled() {
 			st.flights = append(st.flights, flight.Event{
-				ID: flight.ComposeID(proc, p.issuedAt[proc]), Slot: t,
-				Stage: flight.StageBankEnqueue, Actor: int32(p.targetMod[proc]),
-				Arg: int64(p.wakeAt[proc] - t)})
+				ID: flight.ComposeID(p.procOf(j, set), p.issuedAt[j]), Slot: t,
+				Stage: flight.StageBankEnqueue, Actor: int32(p.targetMod[j]),
+				Arg: int64(p.wakeAt[j] - t)})
 		}
 		return
 	}
 	p.ports[port] = t + p.bt
-	p.state[proc] = procInFlight
-	p.doneAt[proc] = t + p.bt
+	p.state[j] = procInFlight
+	p.doneAt[j] = t + p.bt
 	if p.flt.Enabled() {
 		st.flights = append(st.flights, flight.Event{
-			ID: flight.ComposeID(proc, p.issuedAt[proc]), Slot: t,
-			Stage: flight.StageBankService, Actor: int32(p.targetMod[proc]),
+			ID: flight.ComposeID(p.procOf(j, set), p.issuedAt[j]), Slot: t,
+			Stage: flight.StageBankService, Actor: int32(p.targetMod[j]),
 			Arg: int64(p.bt)})
 	}
 }

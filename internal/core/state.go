@@ -243,25 +243,32 @@ func (cs *ClusterSystem) LoadState(dec *sim.StateDecoder) {
 
 // SaveState implements sim.Stater for the partially conflict-free
 // system: per-processor RNG streams, port busy clocks, every processor
-// automaton, and the public measurements.
+// automaton, and the public measurements. Partial stores its arrays
+// set-major (see Partial), but the snapshot walks them in processor
+// order — and the ports in (module, set) order — so its bytes do not
+// depend on the in-memory layout. One walk serves both: port
+// (module, set) is k = module·cs + set, which idx maps to set·m + module.
 func (p *Partial) SaveState(enc *sim.StateEncoder) {
 	enc.Int(len(p.rngs))
 	for i := range p.rngs {
-		enc.RNG(&p.rngs[i])
+		enc.RNG(&p.rngs[p.idx(i)])
 	}
-	sim.SaveSlots(enc, p.ports)
-	saveProcs(enc, p.state)
-	sim.SaveSlots(enc, p.wakeAt)
-	sim.SaveSlots(enc, p.doneAt)
-	sim.SaveSlots(enc, p.issuedAt)
-	sim.SaveSlots(enc, p.nextArrival)
+	p.saveSlots(enc, p.ports)
+	enc.Int(len(p.state))
+	for i := range p.state {
+		enc.Int(int(p.state[p.idx(i)]))
+	}
+	p.saveSlots(enc, p.wakeAt)
+	p.saveSlots(enc, p.doneAt)
+	p.saveSlots(enc, p.issuedAt)
+	p.saveSlots(enc, p.nextArrival)
 	enc.Int(len(p.backlog))
 	for i := range p.backlog {
-		sim.SaveQueue(enc, &p.backlog[i], func(e *sim.StateEncoder, v sim.Slot) { e.Slot(v) })
+		sim.SaveQueue(enc, &p.backlog[p.idx(i)], func(e *sim.StateEncoder, v sim.Slot) { e.Slot(v) })
 	}
 	enc.Int(len(p.targetMod))
-	for _, m := range p.targetMod {
-		enc.Int(int(m))
+	for i := range p.targetMod {
+		enc.Int(int(p.targetMod[p.idx(i)]))
 	}
 	enc.I64(p.Completed)
 	enc.I64(p.Retries)
@@ -277,27 +284,38 @@ func (p *Partial) LoadState(dec *sim.StateDecoder) {
 		return
 	}
 	for i := range p.rngs {
-		dec.RNG(&p.rngs[i])
+		dec.RNG(&p.rngs[p.idx(i)])
 	}
-	sim.LoadSlots(dec, p.ports)
-	loadProcs(dec, p.state)
-	sim.LoadSlots(dec, p.wakeAt)
-	sim.LoadSlots(dec, p.doneAt)
-	sim.LoadSlots(dec, p.issuedAt)
-	sim.LoadSlots(dec, p.nextArrival)
+	p.loadSlots(dec, p.ports)
+	if n := dec.Count(); n != len(p.state) && dec.Err() == nil {
+		dec.Failf("core: snapshot has %d processor states, system has %d", n, len(p.state))
+		return
+	}
+	for i := range p.state {
+		v := dec.Int()
+		if v < int(procIdle) || v > int(procInFlight) {
+			dec.Failf("core: invalid processor state %d", v)
+			return
+		}
+		p.state[p.idx(i)] = procState(v)
+	}
+	p.loadSlots(dec, p.wakeAt)
+	p.loadSlots(dec, p.doneAt)
+	p.loadSlots(dec, p.issuedAt)
+	p.loadSlots(dec, p.nextArrival)
 	if n := dec.Count(); n != len(p.backlog) && dec.Err() == nil {
 		dec.Failf("core: snapshot has %d backlogs, system has %d", n, len(p.backlog))
 		return
 	}
 	for i := range p.backlog {
-		sim.LoadQueue(dec, &p.backlog[i], func(d *sim.StateDecoder) sim.Slot { return d.Slot() })
+		sim.LoadQueue(dec, &p.backlog[p.idx(i)], func(d *sim.StateDecoder) sim.Slot { return d.Slot() })
 	}
 	if n := dec.Count(); n != len(p.targetMod) && dec.Err() == nil {
 		dec.Failf("core: snapshot has %d target modules, system has %d", n, len(p.targetMod))
 		return
 	}
 	for i := range p.targetMod {
-		p.targetMod[i] = int32(dec.Int())
+		p.targetMod[p.idx(i)] = int32(dec.Int())
 	}
 	p.Completed = dec.I64()
 	p.Retries = dec.I64()
@@ -305,9 +323,29 @@ func (p *Partial) LoadState(dec *sim.StateDecoder) {
 	p.LocalAcc = dec.I64()
 	p.RemoteAcc = dec.I64()
 	// nextEvent is derived state (the per-processor quiescence bound the
-	// tick sweep skips on); rebuild it from the restored automata.
-	for i := range p.nextEvent {
-		p.nextEvent[i] = p.eventSlot(i)
+	// shard sweep skips on); rebuild it from the restored automata.
+	for j := range p.nextEvent {
+		p.nextEvent[j] = p.eventSlot(j)
+	}
+}
+
+// saveSlots appends a set-major []Slot of length n in processor order.
+func (p *Partial) saveSlots(enc *sim.StateEncoder, s []sim.Slot) {
+	enc.Int(len(s))
+	for i := range s {
+		enc.Slot(s[p.idx(i)])
+	}
+}
+
+// loadSlots restores a set-major []Slot from the processor-order stream
+// saveSlots wrote; the saved length must match.
+func (p *Partial) loadSlots(dec *sim.StateDecoder, s []sim.Slot) {
+	if n := dec.Count(); n != len(s) && dec.Err() == nil {
+		dec.Failf("core: snapshot has %d slots, system has %d", n, len(s))
+		return
+	}
+	for i := range s {
+		s[p.idx(i)] = dec.Slot()
 	}
 }
 

@@ -116,6 +116,25 @@ func TestSeededDroppedEncode(t *testing.T) {
 	}
 }
 
+// TestSeededDroppedPermutedLoad drops the last processor-order load
+// loop of the clean fixture's set-major Stater. The pass must model the
+// permuted codec rather than bail on it: the save trace then carries a
+// loop the load trace never reads.
+func TestSeededDroppedPermutedLoad(t *testing.T) {
+	dir := seedFixture(t, filepath.Join("testdata", "src", "statecover", "neg"),
+		"\tfor i := range m.state {\n\t\tm.state[m.at(i)] = uint8(dec.Int())\n\t}\n", "")
+	diags := runPassOn(t, "statecover", dir)
+	var sawPermuted bool
+	for _, d := range diags {
+		if strings.Contains(d, "for Permuted diverge") {
+			sawPermuted = true
+		}
+	}
+	if !sawPermuted {
+		t.Fatalf("statecover stayed silent on a permuted LoadState that drops a loop:\n%s", strings.Join(diags, "\n"))
+	}
+}
+
 // TestSeededCrossShardWrite strips the reasoned waiver off the clean
 // shardpure fixture's audit helper, turning its fold counter into an
 // unexcused cross-shard write one call below TickShard. The

@@ -1,7 +1,7 @@
 // Package neg holds tempting-but-legal TickShard graphs: shard-indexed
-// writes, ownership propagation, strided sweeps, closures built for
-// later phases, reasoned waivers, and FinishShards folds. The pass must
-// stay silent.
+// writes, ownership propagation, strided and contiguous sweeps, closures
+// built for later phases, reasoned waivers, and FinishShards folds. The
+// pass must stay silent.
 package neg
 
 import "cfm/internal/sim"
@@ -21,8 +21,10 @@ type Sharded struct {
 	pool    []int
 	cols    []column
 	pending [][]func()
+	next    []sim.Slot
 	stride  int
 	procs   int
+	per     int
 	mark    int
 	total   int
 }
@@ -43,6 +45,16 @@ func (d *Sharded) TickShard(t sim.Slot, ph sim.Phase, s int) {
 	// reaches is shard-owned.
 	for i := s; i < d.procs; i += d.stride {
 		d.state[i] = int(t)
+	}
+
+	// Contiguous sweep over set-major storage: shard s owns the range
+	// [s·per, (s+1)·per) of every array. The range key is local, but
+	// base+j is shard-owned through base.
+	base := s * d.per
+	for j, v := range d.next[base : base+d.per] {
+		if v <= t {
+			d.state[base+j] = int(t)
+		}
 	}
 
 	// Ownership propagation: a was read out of shard s's queue, so its

@@ -2,9 +2,10 @@
 // contract through every idiom the pass must tolerate: nested save
 // framing against flat load replay, guard branches whose skip arm moves
 // no bytes, paired save/load helpers (methods, package functions, and
-// the sim.SaveSlots/LoadSlots pair), reasoned no-save waivers, rebuilt
-// markers, excluded callback fields, and codec escapes that stand the
-// symmetry check down. The pass must stay silent.
+// the sim.SaveSlots/LoadSlots pair), processor-order codecs over
+// permuted storage, reasoned no-save waivers, rebuilt markers, excluded
+// callback fields, and codec escapes that stand the symmetry check down.
+// The pass must stay silent.
 package neg
 
 import "cfm/internal/sim"
@@ -174,5 +175,72 @@ func (p *Paired) loadRing(dec *sim.StateDecoder) {
 	p.ring = make([]uint64, dec.Count())
 	for i := range p.ring {
 		p.ring[i] = dec.U64()
+	}
+}
+
+// Permuted stores its per-processor arrays set-major but snapshots them
+// in processor order: each codec loop walks processors and indexes the
+// storage through the index map at, directly or inside a paired
+// save/load helper.
+type Permuted struct {
+	sets, per int
+	rngs      []sim.RNG
+	wake      []sim.Slot
+	state     []uint8
+}
+
+func (m *Permuted) at(i int) int { return i%m.sets*m.per + i/m.sets }
+
+func (m *Permuted) Tick(t sim.Slot, ph sim.Phase) {
+	for j := range m.wake {
+		m.wake[j] = t + sim.Slot(m.rngs[j].Intn(4))
+		m.state[j]++
+	}
+}
+
+func (m *Permuted) SaveState(enc *sim.StateEncoder) {
+	enc.Int(len(m.rngs))
+	for i := range m.rngs {
+		enc.RNG(&m.rngs[m.at(i)])
+	}
+	m.saveSlots(enc, m.wake)
+	enc.Int(len(m.state))
+	for i := range m.state {
+		enc.Int(int(m.state[m.at(i)]))
+	}
+}
+
+func (m *Permuted) LoadState(dec *sim.StateDecoder) {
+	if n := dec.Count(); n != len(m.rngs) && dec.Err() == nil {
+		dec.Failf("snapshot has %d streams, system has %d", n, len(m.rngs))
+		return
+	}
+	for i := range m.rngs {
+		dec.RNG(&m.rngs[m.at(i)])
+	}
+	m.loadSlots(dec, m.wake)
+	if n := dec.Count(); n != len(m.state) && dec.Err() == nil {
+		dec.Failf("snapshot has %d states, system has %d", n, len(m.state))
+		return
+	}
+	for i := range m.state {
+		m.state[m.at(i)] = uint8(dec.Int())
+	}
+}
+
+func (m *Permuted) saveSlots(enc *sim.StateEncoder, s []sim.Slot) {
+	enc.Int(len(s))
+	for i := range s {
+		enc.Slot(s[m.at(i)])
+	}
+}
+
+func (m *Permuted) loadSlots(dec *sim.StateDecoder, s []sim.Slot) {
+	if n := dec.Count(); n != len(s) && dec.Err() == nil {
+		dec.Failf("snapshot has %d slots, system has %d", n, len(s))
+		return
+	}
+	for i := range s {
+		s[m.at(i)] = dec.Slot()
 	}
 }

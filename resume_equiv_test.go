@@ -14,6 +14,7 @@ package cfm_test
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"cfm"
@@ -348,7 +349,61 @@ func resumeCases() []resumeCase {
 				return fmt.Sprint(p.Completed, p.Retries, p.TotalLatency, p.LocalAcc, p.RemoteAcc)
 			}
 		}},
+		// Partial shapes where the set-major index map degenerates — one
+		// processor per cluster (a single contention set holding the whole
+		// fleet) and a single module (one processor per set) — plus the
+		// Fig. 3.14 machine under a §7.2 Homes placement.
+		partialCase("PartialOnePerCluster", cfm.PartialConfig{
+			Processors: 8, Modules: 8, BlockWords: 2, BankCycle: 2,
+			Locality: 0.5, AccessRate: 0.15, RetryMean: 3, Seed: 81}, 1500),
+		partialCase("PartialSingleModule", cfm.PartialConfig{
+			Processors: 8, Modules: 1, BlockWords: 16, BankCycle: 2,
+			Locality: 0.5, AccessRate: 0.05, RetryMean: 4, Seed: 11}, 1500),
+		partialCase("PartialHomes", partialHomesConfig(), 200),
 	}
+}
+
+// partialHomesConfig is the Fig. 3.14 machine (n = 64, m = 8) under a
+// §7.2 placement: two idle processors (home −1) and a four-processor job
+// placed in cluster 2 whose data lives in module 5, so its "local"
+// accesses contend with cluster 5's own processors.
+func partialHomesConfig() cfm.PartialConfig {
+	homes := make([]int, 64)
+	for i := range homes {
+		homes[i] = i / 8
+	}
+	homes[3], homes[42] = -1, -1
+	for i := 16; i < 20; i++ {
+		homes[i] = 5
+	}
+	return cfm.PartialConfig{
+		Processors: 64, Modules: 8, BlockWords: 16, BankCycle: 2,
+		Locality: 0.6, AccessRate: 0.02, RetryMean: 4, Seed: 72, Homes: homes}
+}
+
+// partialCase is an instrumented, flight-recorded Partial scenario run
+// for the given number of slots. Its digest covers the counters, the
+// registry, the flight stream, and the component's own snapshot bytes.
+func partialCase(name string, cfg cfm.PartialConfig, slots int64) resumeCase {
+	return resumeCase{name: name, build: func(eng cfm.Engine) (func(), func() string) {
+		p := cfm.NewPartial(cfg)
+		reg := cfm.NewRegistry()
+		p.Instrument(reg)
+		rec := cfm.NewFlightRecorder(0)
+		p.RecordFlight(rec)
+		eng.Register(p)
+		eng.AttachState("metrics", reg)
+		eng.AttachState("flight", rec)
+		return func() { runTo(eng, slots) }, func() string {
+			enc := sim.NewStateEncoder()
+			p.SaveState(enc)
+			h := fnv.New64a()
+			h.Write(enc.Bytes())
+			return fmt.Sprint(p.Completed, p.Retries, p.TotalLatency, p.LocalAcc, p.RemoteAcc,
+				" reg:", reg.Snapshot().Digest(),
+				fmt.Sprintf(" flight:%016x state:%016x", rec.Digest(), h.Sum64()))
+		}
+	}}
 }
 
 // resumeOracle runs the uninterrupted serial dense oracle and returns

@@ -28,9 +28,22 @@ func spansGoldenScenario(eng cfm.Engine) []cfm.FlightEvent {
 	return rec.Events()
 }
 
-func checkSpansGolden(t *testing.T, path string, render func([]cfm.FlightEvent) []byte) {
+// partialSpansScenario is the Partial counterpart: the Fig. 3.14 machine
+// under the §7.2 Homes placement of partialHomesConfig, so the pinned
+// span IDs and actors are processor ids of a fleet whose placement
+// mixes idle processors, home-cluster jobs and an off-cluster job.
+func partialSpansScenario(eng cfm.Engine) []cfm.FlightEvent {
+	p := cfm.NewPartial(partialHomesConfig())
+	rec := cfm.NewFlightRecorder(0)
+	p.RecordFlight(rec)
+	eng.Register(p)
+	eng.Run(200)
+	return rec.Events()
+}
+
+func checkSpansGolden(t *testing.T, path string, scenario func(cfm.Engine) []cfm.FlightEvent, render func([]cfm.FlightEvent) []byte) {
 	t.Helper()
-	serial := render(spansGoldenScenario(cfm.NewClock()))
+	serial := render(scenario(cfm.NewClock()))
 	if len(serial) == 0 {
 		t.Fatal("scenario rendered no span bytes; the golden check is vacuous")
 	}
@@ -52,26 +65,38 @@ func checkSpansGolden(t *testing.T, path string, render func([]cfm.FlightEvent) 
 	}
 	skip := cfm.NewParallelClock(0)
 	skip.SetSkipAhead(true)
-	if parallel := render(spansGoldenScenario(skip)); !bytes.Equal(parallel, want) {
+	if parallel := render(scenario(skip)); !bytes.Equal(parallel, want) {
 		t.Errorf("parallel skip-ahead span export drifted from %s:\n%s",
 			path, diffHint(string(want), string(parallel)))
 	}
 }
 
-// TestSpansGoldenJSONL pins the JSONL export bytes.
-func TestSpansGoldenJSONL(t *testing.T) {
-	checkSpansGolden(t, "testdata/spans_golden.jsonl", func(evs []cfm.FlightEvent) []byte {
+// renderJSONL is the JSONL export as a golden renderer.
+func renderJSONL(t *testing.T) func([]cfm.FlightEvent) []byte {
+	return func(evs []cfm.FlightEvent) []byte {
 		var buf bytes.Buffer
 		if err := cfm.WriteFlightJSONL(&buf, evs); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
-	})
+	}
+}
+
+// TestSpansGoldenJSONL pins the JSONL export bytes.
+func TestSpansGoldenJSONL(t *testing.T) {
+	checkSpansGolden(t, "testdata/spans_golden.jsonl", spansGoldenScenario, renderJSONL(t))
+}
+
+// TestSpansGoldenPartialJSONL pins Partial's span stream: its event
+// order, span IDs and actors are processor-numbered whatever order the
+// component stores its processors in.
+func TestSpansGoldenPartialJSONL(t *testing.T) {
+	checkSpansGolden(t, "testdata/spans_golden_partial.jsonl", partialSpansScenario, renderJSONL(t))
 }
 
 // TestSpansGoldenChromeTrace pins the Perfetto-loadable Chrome trace.
 func TestSpansGoldenChromeTrace(t *testing.T) {
-	checkSpansGolden(t, "testdata/spans_golden.json", func(evs []cfm.FlightEvent) []byte {
+	checkSpansGolden(t, "testdata/spans_golden.json", spansGoldenScenario, func(evs []cfm.FlightEvent) []byte {
 		var buf bytes.Buffer
 		if err := cfm.WriteFlightChromeTrace(&buf, evs); err != nil {
 			t.Fatal(err)
