@@ -539,13 +539,7 @@ func BenchmarkAblationNetContention(b *testing.B) {
 			retryAt     int64
 			waiting     bool
 		}
-		think := func() int64 {
-			t := int64(1)
-			for !rng.Bernoulli(0.03) {
-				t++
-			}
-			return t
-		}
+		think := func() int64 { return int64(rng.Geometric(0.03)) }
 		procs := make([]proc, n)
 		for i := range procs {
 			procs[i].nextArrival = think()

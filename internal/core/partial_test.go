@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"cfm/internal/sim"
@@ -40,9 +41,21 @@ func TestPartialConfigValidate(t *testing.T) {
 		{Processors: 4, Modules: 2, BlockWords: 3, BankCycle: 2, RetryMean: 1}, // words % c != 0
 		{Processors: 8, Modules: 2, BlockWords: 4, BankCycle: 2, RetryMean: 1}, // cluster size mismatch
 	}
+	// NaN fails every comparison, so a plain x < 0 || x > 1 check
+	// accepts it.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 1.1} {
+		bads = append(bads,
+			PartialConfig{Processors: 4, Modules: 2, BlockWords: 4, BankCycle: 2, Locality: v, RetryMean: 1},
+			PartialConfig{Processors: 4, Modules: 2, BlockWords: 4, BankCycle: 2, AccessRate: v, RetryMean: 1})
+	}
 	for i, c := range bads {
 		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
+			t.Errorf("bad config %d accepted: %+v", i, c)
+		}
+	}
+	for _, v := range []float64{0, 1} {
+		if err := fig314Config(v, v, 1).Validate(); err != nil {
+			t.Errorf("Locality = AccessRate = %v rejected: %v", v, err)
 		}
 	}
 }

@@ -36,7 +36,9 @@ func (c SharedConfig) Validate() error {
 		return fmt.Errorf("core: sharing %d < 1", c.Sharing)
 	case c.BlockWords < 1 || c.BankCycle < 1:
 		return fmt.Errorf("core: block %d / cycle %d invalid", c.BlockWords, c.BankCycle)
-	case c.AccessRate < 0 || c.AccessRate > 1:
+	// Range checks are negated so NaN, which fails every comparison,
+	// is rejected too.
+	case !(c.AccessRate >= 0 && c.AccessRate <= 1):
 		return fmt.Errorf("core: rate %v out of [0,1]", c.AccessRate)
 	case c.RetryMean < 1:
 		return fmt.Errorf("core: retry mean %d < 1", c.RetryMean)
@@ -106,18 +108,10 @@ func NewShared(cfg SharedConfig) *Shared {
 }
 
 func (s *Shared) thinkTime() int {
-	r := s.cfg.AccessRate
-	if r <= 0 {
+	if s.cfg.AccessRate <= 0 {
 		return 1 << 30
 	}
-	t := 1
-	for !s.rng.Bernoulli(r) {
-		t++
-		if t > 1<<20 {
-			break
-		}
-	}
-	return t
+	return s.rng.Geometric(s.cfg.AccessRate)
 }
 
 func (s *Shared) retryDelay() int {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"cfm/internal/sim"
@@ -33,9 +34,17 @@ func TestSharedConfigValidate(t *testing.T) {
 		{Divisions: 1, Sharing: 1, BlockWords: 1, BankCycle: 1, AccessRate: 2, RetryMean: 1},
 		{Divisions: 1, Sharing: 1, BlockWords: 1, BankCycle: 1, RetryMean: 0},
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 1.1} {
+		bads = append(bads, sharedCfg(2, v))
+	}
 	for i, c := range bads {
 		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
+			t.Errorf("bad config %d accepted: %+v", i, c)
+		}
+	}
+	for _, v := range []float64{0, 1} {
+		if err := sharedCfg(2, v).Validate(); err != nil {
+			t.Errorf("AccessRate = %v rejected: %v", v, err)
 		}
 	}
 	if got := sharedCfg(3, 0).Processors(); got != 24 {

@@ -36,7 +36,9 @@ func (c ConventionalConfig) Validate() error {
 		return fmt.Errorf("memory: need >=1 module, got %d", c.Modules)
 	case c.BlockTime < 1:
 		return fmt.Errorf("memory: need block time >=1, got %d", c.BlockTime)
-	case c.AccessRate < 0 || c.AccessRate > 1:
+	// Range checks are negated so NaN, which fails every comparison,
+	// is rejected too.
+	case !(c.AccessRate >= 0 && c.AccessRate <= 1):
 		return fmt.Errorf("memory: access rate %v out of [0,1]", c.AccessRate)
 	case c.RetryMean < 1:
 		return fmt.Errorf("memory: retry mean %d < 1", c.RetryMean)
@@ -156,17 +158,11 @@ func (c *Conventional) thinkTime() int {
 	if r <= 0 {
 		return 1 << 30 // effectively never
 	}
-	// Inverse-CDF geometric sampling via sequential Bernoulli would bias
-	// long tails with float error; a simple loop is exact and cheap at
-	// the rates the paper studies (r <= 0.06).
-	t := 1
-	for !c.rng.Bernoulli(r) {
-		t++
-		if t > 1<<20 {
-			break
-		}
-	}
-	return t
+	// RNG.Geometric counts Bernoulli(r) trials to the first success, one
+	// draw per trial, so it is exact. Inverse-CDF sampling would take one
+	// draw per sample, but its logarithms bias the long tail with float
+	// error and it would change every random stream.
+	return c.rng.Geometric(r)
 }
 
 // retryDelay samples the back-off before re-attempting a conflicting

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -223,9 +224,18 @@ func TestConventionalConfigValidate(t *testing.T) {
 		{Processors: 1, Modules: 1, BlockTime: 1, AccessRate: -0.1, RetryMean: 1},
 		{Processors: 1, Modules: 1, BlockTime: 1, RetryMean: 0},
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 1.1} {
+		bads = append(bads, ConventionalConfig{Processors: 1, Modules: 1, BlockTime: 1, AccessRate: v, RetryMean: 1})
+	}
 	for i, c := range bads {
 		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
+			t.Errorf("bad config %d accepted: %+v", i, c)
+		}
+	}
+	for _, v := range []float64{0, 1} {
+		good.AccessRate = v
+		if err := good.Validate(); err != nil {
+			t.Errorf("AccessRate = %v rejected: %v", v, err)
 		}
 	}
 }

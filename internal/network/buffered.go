@@ -42,9 +42,11 @@ func (c BufferedConfig) Validate() error {
 		return fmt.Errorf("network: queue capacity %d < 1", c.QueueCap)
 	case c.ServiceTime < 1:
 		return fmt.Errorf("network: service time %d < 1", c.ServiceTime)
-	case c.Rate < 0 || c.Rate > 1:
+	// Range checks are negated so NaN, which fails every comparison,
+	// is rejected too.
+	case !(c.Rate >= 0 && c.Rate <= 1):
 		return fmt.Errorf("network: rate %v out of [0,1]", c.Rate)
-	case c.HotFraction < 0 || c.HotFraction > 1:
+	case !(c.HotFraction >= 0 && c.HotFraction <= 1):
 		return fmt.Errorf("network: hot fraction %v out of [0,1]", c.HotFraction)
 	case c.HotModule < 0 || c.HotModule >= c.Terminals:
 		return fmt.Errorf("network: hot module %d out of range", c.HotModule)

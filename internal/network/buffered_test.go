@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"testing"
 
 	"cfm/internal/sim"
@@ -28,9 +29,20 @@ func TestBufferedConfigValidate(t *testing.T) {
 		{Terminals: 8, QueueCap: 1, ServiceTime: 1, HotFraction: -0.1},
 		{Terminals: 8, QueueCap: 1, ServiceTime: 1, HotModule: 8},
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 1.1} {
+		bads = append(bads,
+			BufferedConfig{Terminals: 8, QueueCap: 1, ServiceTime: 1, Rate: v},
+			BufferedConfig{Terminals: 8, QueueCap: 1, ServiceTime: 1, HotFraction: v})
+	}
 	for i, c := range bads {
 		if err := c.Validate(); err == nil {
-			t.Errorf("bad config %d accepted", i)
+			t.Errorf("bad config %d accepted: %+v", i, c)
+		}
+	}
+	for _, v := range []float64{0, 1} {
+		good.Rate, good.HotFraction = v, v
+		if err := good.Validate(); err != nil {
+			t.Errorf("Rate = HotFraction = %v rejected: %v", v, err)
 		}
 	}
 }

@@ -41,7 +41,7 @@ func NewGapped(procs, minGap, maxGap int, storeFraction float64, seed uint64, se
 	if minGap < 1 || maxGap < minGap {
 		panic(fmt.Sprintf("workload: gap range [%d,%d] invalid", minGap, maxGap))
 	}
-	if storeFraction < 0 || storeFraction > 1 {
+	if !(storeFraction >= 0 && storeFraction <= 1) {
 		panic(fmt.Sprintf("workload: store fraction %v out of [0,1]", storeFraction))
 	}
 	if sel == nil {

@@ -44,7 +44,8 @@ func NewBernoulli(procs int, rate, storeFraction float64, seed uint64, sel func(
 	if procs < 1 {
 		panic(fmt.Sprintf("workload: %d processors", procs))
 	}
-	if rate < 0 || rate > 1 || storeFraction < 0 || storeFraction > 1 {
+	// Negated range checks reject NaN too.
+	if !(rate >= 0 && rate <= 1) || !(storeFraction >= 0 && storeFraction <= 1) {
 		panic(fmt.Sprintf("workload: rate %v / store fraction %v out of [0,1]", rate, storeFraction))
 	}
 	if sel == nil {
@@ -87,7 +88,7 @@ func HotSpot(modules, hotModule int, hot float64) func(int, *sim.RNG) int {
 	if modules < 1 || hotModule < 0 || hotModule >= modules {
 		panic(fmt.Sprintf("workload: hot module %d of %d", hotModule, modules))
 	}
-	if hot < 0 || hot > 1 {
+	if !(hot >= 0 && hot <= 1) {
 		panic(fmt.Sprintf("workload: hot fraction %v", hot))
 	}
 	return func(_ int, rng *sim.RNG) int {
@@ -105,7 +106,7 @@ func Locality(modules, clusterSize int, lambda float64) func(int, *sim.RNG) int 
 	if modules < 2 || clusterSize < 1 {
 		panic(fmt.Sprintf("workload: modules %d clusterSize %d", modules, clusterSize))
 	}
-	if lambda < 0 || lambda > 1 {
+	if !(lambda >= 0 && lambda <= 1) {
 		panic(fmt.Sprintf("workload: λ = %v", lambda))
 	}
 	return func(p int, rng *sim.RNG) int {

@@ -118,6 +118,11 @@ func TestWorkloadPanics(t *testing.T) {
 		"hotFrac":  func() { HotSpot(4, 0, 2) },
 		"locMods":  func() { Locality(1, 1, 0.5) },
 		"locLam":   func() { Locality(4, 1, 2) },
+		"rateNaN":  func() { NewBernoulli(2, math.NaN(), 0, 1, Uniform(2)) },
+		"storeNaN": func() { NewBernoulli(2, 0.5, math.NaN(), 1, Uniform(2)) },
+		"hotNaN":   func() { HotSpot(4, 0, math.NaN()) },
+		"locNaN":   func() { Locality(4, 1, math.NaN()) },
+		"gapNaN":   func() { NewGapped(2, 1, 4, math.NaN(), 1, Uniform(2)) },
 	} {
 		func() {
 			defer func() {
