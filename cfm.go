@@ -46,12 +46,15 @@ import (
 
 // Simulation kernel.
 type (
-	// Clock drives a cycle-accurate simulation, one time slot at a time.
+	// Clock is the cycle engine at one worker: it drives a cycle-accurate
+	// simulation one time slot at a time on the caller's goroutine. It is
+	// the same type as ParallelClock.
 	Clock = sim.Clock
-	// ParallelClock drives the same simulation on a worker pool with
-	// barrier synchronization, bit-for-bit equivalent to Clock.
+	// ParallelClock is the cycle engine. With more than one worker it
+	// runs each slot on a worker pool with barrier synchronization, bit
+	// for bit the same simulation as one worker.
 	ParallelClock = sim.ParallelClock
-	// Engine is the common interface of Clock and ParallelClock.
+	// Engine is the cycle-engine interface ParallelClock implements.
 	Engine = sim.Engine
 	// Timebase is the read-only clock interface (Now only) components
 	// hold when they just need the current slot.
@@ -104,7 +107,7 @@ const (
 // MaskOf builds a PhaseMask from individual phases.
 func MaskOf(phases ...Phase) PhaseMask { return sim.MaskOf(phases...) }
 
-// NewClock returns a clock at slot 0.
+// NewClock returns the one-worker engine at slot 0.
 func NewClock() *Clock { return sim.NewClock() }
 
 // WorkersAuto asks NewParallelClock to choose its own worker count: it
@@ -112,8 +115,8 @@ func NewClock() *Clock { return sim.NewClock() }
 // the parallel sections are too narrow to pay for the barriers.
 const WorkersAuto = sim.WorkersAuto
 
-// NewParallelClock returns a parallel engine at slot 0 with the given
-// worker count (WorkersAuto = heuristic, < 0 = GOMAXPROCS).
+// NewParallelClock returns the engine at slot 0 with the given worker
+// count (1 = NewClock, WorkersAuto = heuristic, < 0 = GOMAXPROCS).
 func NewParallelClock(workers int) *ParallelClock { return sim.NewParallelClock(workers) }
 
 // EpochAuto asks Engine.SetEpochBatch to size barrier episodes itself:
@@ -124,9 +127,8 @@ func NewParallelClock(workers int) *ParallelClock { return sim.NewParallelClock(
 // bit-identical at any setting.
 const EpochAuto = sim.EpochAuto
 
-// NewEngine returns a ParallelClock with the given worker count when
-// parallel is true, else a serial Clock — the one-liner behind the
-// cmd/* -parallel / -workers flags.
+// NewEngine returns the engine with the given worker count when
+// parallel is true, else the one-worker engine NewClock returns.
 func NewEngine(parallel bool, workers int) Engine {
 	if parallel {
 		return sim.NewParallelClock(workers)
@@ -149,8 +151,8 @@ var ErrUnsupportedVersion = sim.ErrUnsupportedVersion
 // reconstruct the engine exactly as the checkpointing run did — same
 // components, registered in the same order, same configuration — since a
 // checkpoint holds mutable state only; code and wiring come from build.
-// The restored engine resumes at the checkpointed slot on either engine
-// kind (a serial checkpoint restores into a parallel engine and vice
+// The restored engine resumes at the checkpointed slot at any worker
+// count (a one-worker checkpoint restores into a worker pool and vice
 // versa).
 func Restore(r io.Reader, build func() Engine) (Engine, error) {
 	return sim.Restore(r, func() sim.Engine { return build() })

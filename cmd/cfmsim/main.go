@@ -130,7 +130,9 @@ simulation-heavy commands (efficiency, treesat, alloc, observe) accept
                     0 = auto (fuse up to 16 slots per episode when every
                     component is epoch-safe), 1 = per-slot barriers,
                     K > 1 caps episodes at K slots (same results, bit
-                    for bit; ignored by the serial engine)
+                    for bit)
+  -workers and -epoch-batch need -parallel: without it the run is on
+  one worker, and giving either is an error
 
 observability flags (efficiency, treesat, alloc, observe):
   -metrics-out F    write metrics to F: *.jsonl gets the slot-sampled
@@ -277,10 +279,6 @@ func cmdEfficiency(args []string) {
 	steps := fs.Int("steps", 12, "rate sweep steps")
 	simulate := fs.Bool("sim", true, "cross-check with discrete-event simulation")
 	slots := fs.Int64("slots", 300000, "simulation slots per point")
-	parallel := fs.Bool("parallel", false, "run the simulation on the parallel cycle engine")
-	workers := fs.Int("workers", 0, "parallel engine workers (0 = auto: serial fallback for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)")
-	skipAhead := fs.Bool("skip-ahead", false, "jump the clock over quiescent slots (event-horizon scheduling; same results, bit for bit)")
-	epochBatch := fs.Int("epoch-batch", int(cfm.EpochAuto), "barrier episode length: 0 = auto, 1 = per-slot barriers, K > 1 caps episodes at K slots (parallel engine only; same results, bit for bit)")
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
 	openObservatory(obs, false)
@@ -324,21 +322,16 @@ func cmdEfficiency(args []string) {
 
 	if *simulate {
 		fmt.Println("\ndiscrete-event simulation cross-check:")
-		simEfficiency(*fig, *slots, func() cfm.Engine {
-			eng := cfm.NewEngine(*parallel, *workers)
-			eng.SetSkipAhead(*skipAhead)
-			eng.SetEpochBatch(*epochBatch)
-			return eng
-		}, obs)
+		simEfficiency(*fig, *slots, obs.NewEngine, obs)
 	}
 	closeObservatory(obs)
 }
 
 // simEfficiency runs the matching simulators at a few anchor rates.
-// newEngine builds a fresh cycle engine per point (serial or parallel,
-// per the -parallel/-workers flags; the results are identical either
-// way by the engine equivalence guarantee). Every run carries a flight
-// recorder, so after the efficiency cross-check it prints the paper's
+// newEngine builds a fresh cycle engine per point (one worker or a
+// pool, per the -parallel/-workers flags; the results are identical
+// either way by the engine equivalence guarantee). Every run carries a
+// flight recorder, so after the efficiency cross-check it prints the paper's
 // central claim in queueing terms: the decomposition of each design's
 // access latency into queue + service + network (§3.4 — the
 // conflict-free queue term stays flat while the conventional one grows
@@ -462,10 +455,6 @@ func cmdTreeSat(args []string) {
 	n := fs.Int("n", 16, "terminals")
 	rate := fs.Float64("rate", 0.1, "injection rate")
 	slots := fs.Int64("slots", 30000, "simulation slots")
-	parallel := fs.Bool("parallel", false, "run the simulation on the parallel cycle engine")
-	workers := fs.Int("workers", 0, "parallel engine workers (0 = auto: serial fallback for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)")
-	skipAhead := fs.Bool("skip-ahead", false, "jump the clock over quiescent slots (event-horizon scheduling; same results, bit for bit)")
-	epochBatch := fs.Int("epoch-batch", int(cfm.EpochAuto), "barrier episode length: 0 = auto, 1 = per-slot barriers, K > 1 caps episodes at K slots (parallel engine only; same results, bit for bit)")
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
 	openObservatory(obs, false)
@@ -479,9 +468,7 @@ func cmdTreeSat(args []string) {
 		})
 		b.Instrument(obs.Reg)
 		b.RecordFlight(obs.Flight)
-		clk := cfm.NewEngine(*parallel, *workers)
-		clk.SetSkipAhead(*skipAhead)
-		clk.SetEpochBatch(*epochBatch)
+		clk := obs.NewEngine()
 		clk.Register(b)
 		obs.Attach(clk)
 		clk.Run(*slots)
@@ -669,10 +656,6 @@ func cmdLatency(args []string) {
 func cmdAlloc(args []string) {
 	fs := flag.NewFlagSet("alloc", flag.ExitOnError)
 	slots := fs.Int64("slots", 100000, "simulation slots")
-	parallel := fs.Bool("parallel", false, "run the simulation on the parallel cycle engine")
-	workers := fs.Int("workers", 0, "parallel engine workers (0 = auto: serial fallback for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)")
-	skipAhead := fs.Bool("skip-ahead", false, "jump the clock over quiescent slots (event-horizon scheduling; same results, bit for bit)")
-	epochBatch := fs.Int("epoch-batch", int(cfm.EpochAuto), "barrier episode length: 0 = auto, 1 = per-slot barriers, K > 1 caps episodes at K slots (parallel engine only; same results, bit for bit)")
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
 	openObservatory(obs, false)
@@ -707,9 +690,7 @@ func cmdAlloc(args []string) {
 		p := cfm.NewPartial(c)
 		p.Instrument(obs.Reg)
 		p.RecordFlight(obs.Flight)
-		clk := cfm.NewEngine(*parallel, *workers)
-		clk.SetSkipAhead(*skipAhead)
-		clk.SetEpochBatch(*epochBatch)
+		clk := obs.NewEngine()
 		clk.Register(p)
 		obs.Attach(clk)
 		clk.Run(*slots)
@@ -774,10 +755,6 @@ func cmdObserve(args []string) {
 	rate := fs.Float64("rate", 0.05, "per-processor access rate")
 	hot := fs.Float64("hot", 0.2, "hot-spot fraction on the buffered network")
 	slots := fs.Int64("slots", 24000, "simulation slots")
-	parallel := fs.Bool("parallel", false, "run the simulation on the parallel cycle engine")
-	workers := fs.Int("workers", 0, "parallel engine workers (0 = auto: serial fallback for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)")
-	skipAhead := fs.Bool("skip-ahead", false, "jump the clock over quiescent slots (event-horizon scheduling; same results, bit for bit)")
-	epochBatch := fs.Int("epoch-batch", int(cfm.EpochAuto), "barrier episode length: 0 = auto, 1 = per-slot barriers, K > 1 caps episodes at K slots (parallel engine only; same results, bit for bit)")
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
 	openObservatory(obs, true) // observe always needs the registry
@@ -799,9 +776,7 @@ func cmdObserve(args []string) {
 	// The cache protocol is the interesting one here.
 	proto.RecordFlight(obs.Flight)
 
-	clk := cfm.NewEngine(*parallel, *workers)
-	clk.SetSkipAhead(*skipAhead)
-	clk.SetEpochBatch(*epochBatch)
+	clk := obs.NewEngine()
 	clk.Register(conv)
 	clk.Register(net)
 	clk.Register(proto)
@@ -901,10 +876,6 @@ func cmdWaterfall(args []string) {
 	slots := fs.Int64("slots", 20000, "simulation slots")
 	top := fs.Int("top", 3, "render the K longest complete spans")
 	id := fs.String("id", "", "render one specific span (up to 16 hex digits) instead of the longest")
-	parallel := fs.Bool("parallel", false, "run the simulation on the parallel cycle engine")
-	workers := fs.Int("workers", 0, "parallel engine workers (0 = auto: serial fallback for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)")
-	skipAhead := fs.Bool("skip-ahead", false, "jump the clock over quiescent slots (event-horizon scheduling; same results, bit for bit)")
-	epochBatch := fs.Int("epoch-batch", int(cfm.EpochAuto), "barrier episode length: 0 = auto, 1 = per-slot barriers, K > 1 caps episodes at K slots (parallel engine only; same results, bit for bit)")
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
 	openObservatory(obs, false)
@@ -915,9 +886,7 @@ func cmdWaterfall(args []string) {
 	if rec == nil {
 		rec = cfm.NewFlightRecorder(obs.SpansLimit)
 	}
-	clk := cfm.NewEngine(*parallel, *workers)
-	clk.SetSkipAhead(*skipAhead)
-	clk.SetEpochBatch(*epochBatch)
+	clk := obs.NewEngine()
 	var label string
 	switch *sys {
 	case "conventional":

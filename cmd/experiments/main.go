@@ -2,9 +2,11 @@
 // dissertation's evaluation and reports paper-expected versus measured
 // values. Its output is the data behind EXPERIMENTS.md.
 //
-// With -parallel, every simulation runs on the parallel cycle engine
-// instead of the serial clock; results are identical either way (the
-// engine equivalence guarantee, proven by engine_equiv_test.go).
+// With -parallel, every simulation runs on a worker pool instead of one
+// worker; results are identical either way (the engine equivalence
+// guarantee, proven by engine_equiv_test.go). The engine flags
+// (-parallel, -workers, -skip-ahead, -epoch-batch) are the shared ones
+// of internal/obsflags.
 //
 // The observability flags -metrics-out, -trace-out, -http, and -sample
 // instrument the simulation-heavy experiments (Figs 2.1, 3.13–3.15 and
@@ -26,23 +28,7 @@ import (
 	"cfm/internal/stats"
 )
 
-var (
-	parallel   = flag.Bool("parallel", false, "run simulations on the parallel cycle engine")
-	workers    = flag.Int("workers", 0, "parallel engine workers (0 = auto: serial fallback for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)")
-	skipAhead  = flag.Bool("skip-ahead", false, "jump the clock over quiescent slots (event-horizon scheduling; same results, bit for bit)")
-	epochBatch = flag.Int("epoch-batch", int(cfm.EpochAuto), "barrier episode length: 0 = auto, 1 = per-slot barriers, K > 1 caps episodes at K slots (parallel engine only; same results, bit for bit)")
-	obs        = obsflags.Flags(flag.CommandLine)
-)
-
-// newEngine builds the cycle engine each experiment registers its
-// components on, honoring the -parallel/-workers/-skip-ahead/
-// -epoch-batch flags.
-func newEngine() cfm.Engine {
-	eng := cfm.NewEngine(*parallel, *workers)
-	eng.SetSkipAhead(*skipAhead)
-	eng.SetEpochBatch(*epochBatch)
-	return eng
-}
+var obs = obsflags.Flags(flag.CommandLine)
 
 var failures int
 
@@ -62,8 +48,8 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("# CFM reproduction — experiment report")
-	if *parallel {
-		fmt.Printf("(simulations on the parallel cycle engine, workers=%d)\n", *workers)
+	if obs.Parallel {
+		fmt.Printf("(simulations on the parallel cycle engine, workers=%d)\n", obs.Workers)
 	}
 	table31()
 	table33()
@@ -171,7 +157,7 @@ func fig21() {
 		})
 		b.Instrument(obs.Reg)
 		b.RecordFlight(obs.Flight)
-		clk := newEngine()
+		clk := obs.NewEngine()
 		clk.Register(b)
 		obs.Attach(clk)
 		clk.Run(30000)
@@ -203,7 +189,7 @@ func fig313() {
 		Processors: 8, Modules: 8, BlockTime: 17, AccessRate: 0.05, RetryMean: 8, Seed: 3})
 	cs.Instrument(obs.Reg)
 	cs.RecordFlight(obs.Flight)
-	clk := newEngine()
+	clk := obs.NewEngine()
 	clk.Register(cs)
 	obs.Attach(clk)
 	// The longest single-engine run hosts the -resume/-checkpoint-out
@@ -251,7 +237,7 @@ func fig314and315() {
 			Locality: 1.0, AccessRate: 0.05, RetryMean: 8, Seed: 4})
 		p.Instrument(obs.Reg)
 		p.RecordFlight(obs.Flight)
-		clk := newEngine()
+		clk := obs.NewEngine()
 		clk.Register(p)
 		obs.Attach(clk)
 		clk.Run(150000)
@@ -275,7 +261,7 @@ func chapter4() {
 	fmt.Println("\n## Chapter 4 — address tracking (Figs 4.1, 4.3–4.6)")
 	// Fig 4.1: torn block without tracking.
 	mem := cfm.NewMemory(cfm.Config{Processors: 4, BankCycle: 1, WordWidth: 64}, obs.Trace)
-	clk := newEngine()
+	clk := obs.NewEngine()
 	clk.Register(mem)
 	mem.StartWrite(0, 0, 0, cfm.Block{1, 1, 1, 1}, nil)
 	mem.StartWrite(0, 1, 0, cfm.Block{2, 2, 2, 2}, nil)
@@ -291,7 +277,7 @@ func chapter4() {
 
 	// Fig 4.3/4.4: with tracking, exactly one writer wins.
 	tr := cfm.NewTracked(8, cfm.LatestWins, obs.Trace)
-	clk2 := newEngine()
+	clk2 := obs.NewEngine()
 	clk2.Register(tr)
 	var aborted, completed int
 	cb := func(r cfm.TrackedResult) {
@@ -317,7 +303,7 @@ func chapter4() {
 
 	// Fig 4.6: swap atomicity chain.
 	tr2 := cfm.NewTracked(8, cfm.EarliestWins, nil)
-	clk3 := newEngine()
+	clk3 := obs.NewEngine()
 	clk3.Register(tr2)
 	tr2.PokeBlock(0, uniformBlock(8, 100))
 	var rets []cfm.Word
@@ -342,7 +328,7 @@ func fig54() {
 	fmt.Println("\n## Fig 5.4 — lock transfer")
 	proto := cfm.NewCacheProtocol(cfm.CacheConfig{Processors: 4, Lines: 4, RetryDelay: 1}, nil)
 	lock := cfm.NewLocker(proto, 0)
-	clk := newEngine()
+	clk := obs.NewEngine()
 	clk.Register(lock)
 	clk.Register(proto)
 	lock.Request(0)
@@ -363,7 +349,7 @@ func fig55() {
 	fmt.Println("\n## Fig 5.5 — atomic multiple lock/unlock")
 	proto := cfm.NewCacheProtocol(cfm.CacheConfig{Processors: 8, Lines: 4, RetryDelay: 1}, nil)
 	ml := cfm.NewMultiLocker(proto, 0)
-	clk := newEngine()
+	clk := obs.NewEngine()
 	clk.Register(ml)
 	clk.Register(proto)
 	init := make(cfm.Block, 8)
@@ -398,7 +384,7 @@ func tables55and56() {
 		fmt.Sprintf("vs KSR1 %d/%d", t56[0].Other, t56[1].Other))
 
 	s := cfm.NewHierSystem(cfm.HierConfig{Clusters: 4, ProcsPerCluster: 4, BankCycle: 2, L1Lines: 4, L2Lines: 8}, nil)
-	clk := newEngine()
+	clk := obs.NewEngine()
 	clk.Register(s)
 	var at cfm.Slot
 	start := clk.Now()
@@ -491,7 +477,7 @@ func extensions() {
 		c := cfg
 		c.Homes = pl
 		p := cfm.NewPartial(c)
-		clk := newEngine()
+		clk := obs.NewEngine()
 		clk.Register(p)
 		clk.Run(80000)
 		return p.Efficiency()
@@ -508,7 +494,7 @@ func extensions() {
 			Divisions: 8, Sharing: sharing, BlockWords: 16, BankCycle: 2,
 			AccessRate: 0.02, RetryMean: 4, Seed: 1,
 		})
-		clk := newEngine()
+		clk := obs.NewEngine()
 		clk.Register(s)
 		clk.Run(80000)
 		return s
@@ -540,7 +526,7 @@ func extensions() {
 	stair := true
 	for i, mode := range []cfm.Ordering{cfm.StrictOrder, cfm.BufferedOrder, cfm.WeakOrder, cfm.ReleaseOrder} {
 		proto := cfm.NewCacheProtocol(cfm.CacheConfig{Processors: 4, Lines: 8, RetryDelay: 1}, nil)
-		clk := newEngine()
+		clk := obs.NewEngine()
 		fe := cfm.NewFrontend(proto, clk, 0, mode)
 		clk.Register(fe)
 		clk.Register(proto)

@@ -93,26 +93,35 @@ func (b *CFMBinder) run(processors int) {
 	clk.Register(ml)
 	clk.Register(proto)
 
-	// pending[proc] = reply channel awaiting that processor's grant.
+	// pending[proc] = reply channel awaiting that processor's grant;
+	// releasing[proc] = reply channel awaiting the end of its unlock, so a
+	// client never rebinds a processor whose unlock is still in flight.
 	pending := make(map[int]chan bool)
+	releasing := make(map[int]chan bool)
 	handle := func(req cfmReq) {
 		if req.bind {
 			ml.Request(req.proc, req.pattern)
 			pending[req.proc] = req.reply
 		} else {
 			ml.Release(req.proc)
-			req.reply <- true
+			releasing[req.proc] = req.reply
 		}
 	}
 	for {
-		// Service any due grants.
+		// Service any due grants and finished unlocks.
 		for proc, reply := range pending {
 			if ml.Holding(proc) != 0 {
 				delete(pending, proc)
 				reply <- true
 			}
 		}
-		if len(pending) == 0 && proto.Idle() {
+		for proc, reply := range releasing {
+			if ml.Idle(proc) {
+				delete(releasing, proc)
+				reply <- true
+			}
+		}
+		if len(pending) == 0 && len(releasing) == 0 && proto.Idle() {
 			// Nothing in flight: block until the next request instead of
 			// spinning the clock.
 			select {

@@ -70,6 +70,31 @@ func TestCFMBinderBindUnbind(t *testing.T) {
 	b.Unbind(l)
 }
 
+// TestCFMBinderRebindAfterUnbind: a processor may bind again as soon as
+// Unbind returns, so Unbind must not return before the simulated unlock
+// has finished — even while other processors keep the protocol busy.
+func TestCFMBinderRebindAfterUnbind(t *testing.T) {
+	const procs, rounds = 3, 100
+	b := NewCFMBinder(procs)
+	defer b.Stop()
+	var wg sync.WaitGroup
+	for p := 0; p < procs; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				l, err := b.Bind(p, R("arr", Dim{p, p, 1}))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				b.Unbind(l)
+			}
+		}(p)
+	}
+	wg.Wait()
+}
+
 // TestCFMBinderMutualExclusion: concurrent goroutines increment a counter
 // under overlapping CFM-backed bindings; mutual exclusion must hold.
 func TestCFMBinderMutualExclusion(t *testing.T) {

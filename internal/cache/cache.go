@@ -205,7 +205,7 @@ type Protocol struct {
 	// Registry handles (nil when unobserved) plus the counter values at
 	// the last flush: rather than editing every counter site, flushMetrics
 	// adds the deltas once per slot from Tick's PhaseUpdate — a serial
-	// context, so registry totals are deterministic on both engines.
+	// context, so registry totals are deterministic at every worker count.
 	mHits, mMisses, mInvalidations, mWriteBacks *metrics.Counter
 	mRetries, mTriggeredWBs, mPrefetches        *metrics.Counter
 	lastHits, lastMisses, lastInvs, lastWBs     int64

@@ -22,9 +22,9 @@ var phaseOrder = []string{"PhaseIssue", "PhaseConnect", "PhaseTransfer", "PhaseU
 // literal returned by PhaseMask() or ActivePhases() — against the
 // sim.Phase constants its ticking methods (Tick, TickShard,
 // FinishShards) actually dispatch on. An understated mask silently
-// changes the simulation on BOTH engines (the schedule compiler drops
-// the phase), so it never shows up as a serial/parallel divergence; the
-// only reliable guard is reading the source.
+// changes the simulation at EVERY worker count (the schedule compiler
+// drops the phase), so it never shows up as a serial/parallel
+// divergence; the only reliable guard is reading the source.
 //
 // Two diagnostics:
 //

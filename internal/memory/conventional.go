@@ -86,7 +86,7 @@ type Conventional struct {
 	TotalQueued  int64 // Σ (first attempt − arrival): open-loop queue wait
 
 	// Registry handles (nil when unobserved). Conventional is a serial
-	// Ticker, so direct adds are deterministic on both engines.
+	// Ticker, so direct adds are deterministic at every worker count.
 	mCompleted   *metrics.Counter
 	mRetries     *metrics.Counter
 	mLatency     *metrics.Counter

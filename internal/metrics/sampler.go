@@ -6,9 +6,8 @@ import (
 
 // SamplerPrio is the registration priority Attach uses. It is far above
 // any component band, so within PhaseUpdate the sampler ticks after all
-// simulation work of the slot has settled — on both engines, since
-// priority bands are fully ordered in the serial Clock and never merged
-// across in ParallelClock's phase plans.
+// simulation work of the slot has settled at every worker count, since
+// the engine never merges shard work across priority bands.
 const SamplerPrio = 1 << 20
 
 // Sample is one time-series point: every counter and gauge value at the
@@ -21,8 +20,8 @@ type Sample struct {
 
 // Sampler records registry snapshots every N slots, forming the
 // slot-sampled time series behind the JSONL export and the ASCII views.
-// It is a serial Ticker (single-threaded on both engines), so sampling
-// never perturbs determinism.
+// It is a serial Ticker (single-threaded at every worker count), so
+// sampling never perturbs determinism.
 type Sampler struct {
 	reg     *Registry
 	every   sim.Slot
@@ -45,8 +44,8 @@ func (s *Sampler) Attach(eng sim.Engine) { eng.RegisterPrio(s, SamplerPrio) }
 // Every returns the sampling period in slots.
 func (s *Sampler) Every() int64 { return int64(s.every) }
 
-// ActivePhases marks the sampler PhaseUpdate-only so ParallelClock can
-// drop it from the other phases' schedules.
+// ActivePhases marks the sampler PhaseUpdate-only so the engine drops it
+// from the other phases' schedules.
 func (s *Sampler) ActivePhases() []sim.Phase { return []sim.Phase{sim.PhaseUpdate} }
 
 // Tick implements sim.Ticker: at the end of every Nth slot it copies all

@@ -46,13 +46,13 @@ func (sv *StatusVar) Set(slot, run, fired, jumps int64) {
 }
 
 // SetSync stamps the engine's synchronization counters: barrier
-// crossings and barrier episodes (both 0 for the serial clock).
+// crossings and barrier episodes (both 0 at one worker).
 func (sv *StatusVar) SetSync(crossings, epochs int64) {
 	sv.crossings.Store(crossings)
 	sv.epochs.Store(epochs)
 }
 
-// SetWorkers records the engine's worker count (1 for the serial clock).
+// SetWorkers records the engine's worker count (1 for NewClock).
 func (sv *StatusVar) SetWorkers(n int) { sv.workers.Store(int64(n)) }
 
 // Status returns the current reading. The skip ratio is the fraction of
@@ -78,20 +78,11 @@ func (sv *StatusVar) Status() Status {
 // StampEngine stamps sv from eng's public progress counters. Call from
 // the engine's owner goroutine (between or after runs).
 func (sv *StatusVar) StampEngine(eng sim.Engine) {
-	jumps := int64(0)
-	if j, ok := eng.(interface{ Jumps() int64 }); ok {
-		jumps = j.Jumps()
-	}
+	var jumps, crossings, epochs int64
 	workers := 1
-	if w, ok := eng.(interface{ Workers() int }); ok {
-		workers = w.Workers()
-	}
-	crossings, epochs := int64(0), int64(0)
-	if c, ok := eng.(interface{ BarrierCrossings() int64 }); ok {
-		crossings = c.BarrierCrossings()
-	}
-	if e, ok := eng.(interface{ Epochs() int64 }); ok {
-		epochs = e.Epochs()
+	if pc, ok := eng.(*sim.ParallelClock); ok {
+		jumps, workers = pc.Jumps(), pc.Workers()
+		crossings, epochs = pc.BarrierCrossings(), pc.Epochs()
 	}
 	sv.Set(int64(eng.Now()), eng.SlotsRun(), eng.SlotsFired(), jumps)
 	sv.SetWorkers(workers)

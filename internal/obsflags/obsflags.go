@@ -1,11 +1,14 @@
-// Package obsflags wires the observability command-line flags shared by
-// the cmd/ tools (-metrics-out, -trace-out, -http, -sample, -spans-out)
-// to the concrete objects behind them: the metrics registry, the
-// slot-sampled time-series recorder, the event trace, the flight
-// recorder, and the live profiling endpoint.
+// Package obsflags wires the command-line flags shared by the cmd/
+// tools to the concrete objects behind them. The observability flags
+// (-metrics-out, -trace-out, -http, -sample, -spans-out) feed the
+// metrics registry, the slot-sampled time-series recorder, the event
+// trace, the flight recorder, and the live profiling endpoint; the
+// engine flags (-parallel, -workers, -skip-ahead, -epoch-batch) shape
+// the cycle engine NewEngine builds.
 package obsflags
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -18,10 +21,10 @@ import (
 	"cfm/internal/sim"
 )
 
-// Observatory holds the parsed observability flags and, once Open has
-// run, the live objects behind them. When no flag is set (and Open is
-// not forced) every field stays nil, so the nil fast paths keep the
-// simulation unobserved at zero cost.
+// Observatory holds the parsed observability and engine flags and, once
+// Open has run, the live objects behind them. When no observability flag
+// is set (and Open is not forced) every object stays nil, so the nil fast
+// paths keep the simulation unobserved at zero cost.
 type Observatory struct {
 	MetricsOut string // -metrics-out: metrics file (*.jsonl: series; else Prometheus)
 	TraceOut   string // -trace-out: event trace file (JSONL)
@@ -34,6 +37,11 @@ type Observatory struct {
 	SpansOut   string // -spans-out: flight-recorder export (*.json: Chrome trace; else JSONL)
 	SpansLimit int    // -spans-limit: flight recorder ring capacity (events)
 
+	Parallel   bool // -parallel: run on a worker pool instead of one worker
+	Workers    int  // -workers: pool size (sim.WorkersAuto sizes it per plan); needs -parallel
+	SkipAhead  bool // -skip-ahead: jump the clock over quiescent slots
+	EpochBatch int  // -epoch-batch: barrier episode bound (sim.EpochAuto = auto); needs -parallel
+
 	Reg     *metrics.Registry
 	Sampler *metrics.Sampler
 	Trace   *sim.Trace
@@ -43,8 +51,8 @@ type Observatory struct {
 	engines []sim.Engine // every engine Attach saw, for the post-run stamp
 }
 
-// Flags registers the observability flags on fs and returns the
-// observatory they fill in. Call Open after fs.Parse.
+// Flags registers the observability and engine flags on fs and returns
+// the observatory they fill in. Call Open after fs.Parse.
 func Flags(fs *flag.FlagSet) *Observatory {
 	ob := &Observatory{}
 	fs.StringVar(&ob.MetricsOut, "metrics-out", "",
@@ -62,7 +70,28 @@ func Flags(fs *flag.FlagSet) *Observatory {
 		"write the flight recorder's access spans to this file: *.json gets Chrome trace-event JSON (Perfetto), anything else JSONL")
 	fs.IntVar(&ob.SpansLimit, "spans-limit", flight.DefaultLimit,
 		"flight recorder capacity in events (the ring keeps the newest)")
+	fs.BoolVar(&ob.Parallel, "parallel", false, "run the simulation on the parallel cycle engine")
+	fs.IntVar(&ob.Workers, "workers", sim.WorkersAuto,
+		"parallel engine workers (0 = auto: serial fallback for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)")
+	fs.BoolVar(&ob.SkipAhead, "skip-ahead", false,
+		"jump the clock over quiescent slots (event-horizon scheduling; same results, bit for bit)")
+	fs.IntVar(&ob.EpochBatch, "epoch-batch", sim.EpochAuto,
+		"barrier episode length: 0 = auto, 1 = per-slot barriers, K > 1 caps episodes at K slots (parallel engine only; same results, bit for bit)")
 	return ob
+}
+
+// NewEngine builds a cycle engine as the engine flags ask: one worker by
+// default, a pool of -workers with -parallel, with skip-ahead and the
+// episode bound applied.
+func (ob *Observatory) NewEngine() sim.Engine {
+	workers := 1
+	if ob.Parallel {
+		workers = ob.Workers
+	}
+	eng := sim.NewParallelClock(workers)
+	eng.SetSkipAhead(ob.SkipAhead)
+	eng.SetEpochBatch(ob.EpochBatch)
+	return eng
 }
 
 // MaybeResume restores eng from the -resume checkpoint when the flag is
@@ -110,10 +139,14 @@ func (ob *Observatory) Wanted() bool {
 	return ob.MetricsOut != "" || ob.TraceOut != "" || ob.HTTPAddr != "" || ob.SpansOut != ""
 }
 
-// Open builds the registry and sampler (and the trace and live endpoint
-// when requested). With force=false and no flags set it is a no-op:
+// Open rejects contradictory engine flags, then builds the registry and
+// sampler (and the trace and live endpoint when requested). With
+// force=false and no observability flag set it builds nothing:
 // everything stays nil and instrumentation remains free.
 func (ob *Observatory) Open(force bool) error {
+	if !ob.Parallel && (ob.Workers != sim.WorkersAuto || ob.EpochBatch != sim.EpochAuto) {
+		return errors.New("-workers and -epoch-batch configure the parallel engine: add -parallel")
+	}
 	if !force && !ob.Wanted() {
 		return nil
 	}

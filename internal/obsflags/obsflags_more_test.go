@@ -4,6 +4,8 @@ import (
 	"flag"
 	"path/filepath"
 	"testing"
+
+	"cfm/internal/sim"
 )
 
 // TestFlagDefaults pins the registered flag set and its defaults: the
@@ -11,7 +13,8 @@ import (
 func TestFlagDefaults(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	ob := Flags(fs)
-	for _, name := range []string{"metrics-out", "trace-out", "http", "sample"} {
+	for _, name := range []string{"metrics-out", "trace-out", "http", "sample",
+		"parallel", "workers", "skip-ahead", "epoch-batch"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
@@ -24,6 +27,66 @@ func TestFlagDefaults(t *testing.T) {
 	}
 	if ob.Every != 1000 {
 		t.Errorf("-sample default = %d, want 1000", ob.Every)
+	}
+	if ob.Parallel || ob.Workers != sim.WorkersAuto || ob.SkipAhead || ob.EpochBatch != sim.EpochAuto {
+		t.Errorf("engine flags must default to one worker, dense, auto episodes; got %+v", ob)
+	}
+}
+
+// TestEngineFlags pins what the engine flags build and which
+// combinations Open rejects: -workers and -epoch-batch only configure the
+// worker pool, so giving either without -parallel is an error rather
+// than a silently serial run.
+func TestEngineFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		wantErr bool
+		workers int   // Workers() of the built engine
+		fired   int64 // SlotsFired after a 100-slot run of an idle driver
+	}{
+		{args: nil, workers: 1, fired: 100},
+		{args: []string{"-skip-ahead"}, workers: 1, fired: 0},
+		{args: []string{"-workers", "4"}, wantErr: true},
+		{args: []string{"-workers", "-1"}, wantErr: true},
+		{args: []string{"-epoch-batch", "8"}, wantErr: true},
+		{args: []string{"-skip-ahead", "-epoch-batch", "1"}, wantErr: true},
+		{args: []string{"-parallel"}, workers: sim.WorkersAuto, fired: 100},
+		{args: []string{"-parallel", "-workers", "2"}, workers: 2, fired: 100},
+		{args: []string{"-parallel", "-workers", "2", "-epoch-batch", "4", "-skip-ahead"}, workers: 2, fired: 0},
+	} {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		ob := Flags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		err := ob.Open(false)
+		if tc.wantErr {
+			if err == nil {
+				t.Errorf("%q: Open succeeded, want an error", tc.args)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: Open: %v", tc.args, err)
+			continue
+		}
+		eng := ob.NewEngine()
+		pc, ok := eng.(*sim.ParallelClock)
+		if !ok {
+			t.Fatalf("%q: NewEngine built a %T", tc.args, eng)
+		}
+		if got := pc.Workers(); got != tc.workers {
+			t.Errorf("%q: Workers() = %d, want %d", tc.args, got, tc.workers)
+		}
+		pc.Register(&sim.FuncTicker{NextEvent: func(sim.Slot) sim.Slot { return sim.HorizonNone }})
+		pc.Run(100)
+		pc.Close()
+		if got := pc.SlotsFired(); got != tc.fired {
+			t.Errorf("%q: SlotsFired() = %d after 100 slots, want %d", tc.args, got, tc.fired)
+		}
+		if err := ob.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -8,18 +8,19 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the parallel cycle engine. The CFM is a fully
-// synchronous machine: within one time slot every bank, switch column,
-// and cache frontend is combinational and mutually independent, so the
-// hardware evaluates them simultaneously (dissertation §3.1.1). The
-// serial Clock linearizes that simultaneity into an arbitrary but fixed
-// order; ParallelClock recovers the hardware's concurrency while
-// guaranteeing the exact same observable simulation, bit for bit.
+// This file implements the cycle engine. The CFM is a fully synchronous
+// machine: within one time slot every bank, switch column, and cache
+// frontend is combinational and mutually independent, so the hardware
+// evaluates them simultaneously (dissertation §3.1.1). With one worker
+// (Clock, NewClock) the engine linearizes that simultaneity into an
+// arbitrary but fixed order; with more it recovers the hardware's
+// concurrency while guaranteeing the exact same observable simulation,
+// bit for bit.
 //
 // The guarantee rests on three rules:
 //
 //  1. Phases are global barriers: every component finishes phase k of a
-//     slot before any component starts phase k+1, exactly as on Clock.
+//     slot before any component starts phase k+1, at every worker count.
 //  2. Priority order is honored across shards: tickers are grouped into
 //     priority bands (equal RegisterPrio priority), and band k fully
 //     precedes band k+1 within each phase. Components that do not opt
@@ -34,14 +35,15 @@ import (
 //     runs single-threaded after all of the band's shards.
 //
 // Under those rules any shard interleaving — including the fully serial
-// one — yields the same machine state, so Clock and ParallelClock are
-// interchangeable. The top-level differential suite
+// one — yields the same machine state, so every worker count simulates
+// the same machine. The top-level differential suite
 // (engine_equiv_test.go) proves it for every configuration of the
 // dissertation's evaluation.
 //
-// Execution model: a pool of persistent workers is spawned lazily at
-// the first parallel run and parked on the pool gate between runs — a
-// run costs no goroutine creation. All synchronization is one
+// Execution model: one worker runs the schedule inline with no
+// synchronization at all. Above that, a pool of persistent workers is
+// spawned lazily at the first parallel run and parked on the pool gate
+// between runs — a run costs no goroutine creation. All synchronization is one
 // combining-tree barrier (treebarrier.go): each worker spins on flags
 // in its own cache-line-padded tree node, arrivals combine up the tree,
 // and release propagates down by one remote write per edge, so a
@@ -138,17 +140,18 @@ type EpochFinisher interface {
 }
 
 // PhaseAware is the slice-valued predecessor of PhaseMasker: a
-// component lists the phases in which it does any work and both engines
-// omit it from the other phases' schedules entirely. Tick and TickShard
+// component lists the phases in which it does any work and the engine
+// omits it from the other phases' schedules entirely. Tick and TickShard
 // MUST be no-ops in phases not listed. New code should implement
 // PhaseMasker; when both are present the mask wins.
 type PhaseAware interface {
 	ActivePhases() []Phase
 }
 
-// SerialTick executes a Shardable exactly as the engines do: every
-// shard in ascending order, then the finalizer. Components delegate
-// their Tick to it so both engines share one code path.
+// SerialTick executes a Shardable exactly as the one-worker engine does:
+// every shard in ascending order, then the finalizer. Components delegate
+// their Tick to it, so a component ticked directly (by a composite that
+// owns it, or by a test) runs the engine's code path.
 func SerialTick(s Shardable, t Slot, ph Phase) {
 	for i, n := 0, s.Shards(); i < n; i++ {
 		s.TickShard(t, ph, i)
@@ -220,11 +223,13 @@ type segment struct {
 	barBefore bool
 }
 
-// ParallelClock drives the same Ticker population as Clock but executes
-// each phase with a pool of persistent workers and barrier
-// synchronization. It implements Engine; see the file comment for the
-// equivalence guarantee. The zero value is not usable — construct with
-// NewParallelClock.
+// ParallelClock is the cycle engine: it owns simulated time and the
+// ordered set of components it drives. With one worker (Clock, from
+// NewClock) it executes the compiled schedule inline on the caller's
+// goroutine; with more it executes each phase with a pool of persistent
+// workers and barrier synchronization. It implements Engine; see the
+// file comment for the equivalence guarantee. Construct with NewClock
+// or NewParallelClock.
 //
 // Registration, Run, Step, and Close must all happen on one goroutine;
 // Stop alone is safe to call from inside a Tick on any worker.
@@ -303,12 +308,12 @@ type workerPool struct {
 	wg    sync.WaitGroup
 }
 
-// NewParallelClock returns a parallel engine at slot 0. workers > 0
-// fixes the worker count; WorkersAuto (0) sizes it from the compiled
-// schedule (serial below the autoSerialShards threshold, else
-// GOMAXPROCS); workers < 0 selects GOMAXPROCS unconditionally.
-// workers == 1 executes the parallel schedule inline with no goroutines
-// (useful as the differential baseline).
+// NewParallelClock returns the engine at slot 0. workers > 0 fixes the
+// worker count; WorkersAuto (0) sizes it from the compiled schedule
+// (serial below the autoSerialShards threshold, else GOMAXPROCS);
+// workers < 0 selects GOMAXPROCS unconditionally. workers == 1 executes
+// the schedule inline with no goroutines: the serial engine NewClock
+// returns.
 func NewParallelClock(workers int) *ParallelClock {
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -320,19 +325,22 @@ func NewParallelClock(workers int) *ParallelClock {
 // engine sizes itself).
 func (pc *ParallelClock) Workers() int { return pc.cfgWorkers }
 
-// Now returns the current slot (the slot being executed during a tick).
+// Now returns the current slot. During a tick it is the slot being
+// executed; between Run calls it is the next slot to execute.
 func (pc *ParallelClock) Now() Slot { return pc.now }
 
 // SlotsRun reports how many complete slots have been executed, skipped
-// quiescent slots included.
+// quiescent slots included (under skip-ahead, Now advances by exactly
+// SlotsRun either way).
 func (pc *ParallelClock) SlotsRun() int64 { return pc.slotsRun }
 
 // SlotsFired reports how many slots actually executed their phase plan.
 // Without skip-ahead it equals SlotsRun.
 func (pc *ParallelClock) SlotsFired() int64 { return pc.slotsFired }
 
-// Jumps reports how many skip-ahead jumps actually advanced the clock;
-// see Clock.Jumps. Read from the owner goroutine, between runs.
+// Jumps reports how many skip-ahead jumps advanced the clock; zero
+// without skip-ahead. Like SlotsFired it is engine bookkeeping, not
+// simulation state. Read from the owner goroutine, between runs.
 func (pc *ParallelClock) Jumps() int64 { return pc.jumps }
 
 // BarrierCrossings reports how many barrier crossings the full worker
@@ -358,7 +366,8 @@ func (pc *ParallelClock) SetSkipAhead(on bool) { pc.skipAhead = on }
 
 // SetEpochBatch bounds the episode length of epoch batching: EpochAuto
 // (0, the default) batches a batchable plan with the automatic length;
-// 1 disables batching; k > 1 fixes the cap at k slots. Call between
+// 1 disables batching; k > 1 fixes the cap at k slots. Only a worker
+// pool batches: one worker runs slot by slot whatever k is. Call between
 // runs, from the owner goroutine. Batching changes nothing observable —
 // the simulation stays bit-identical — except that Stop and skip-ahead
 // jumps resolve at episode edges rather than every slot, and RunUntil
@@ -390,8 +399,11 @@ func (pc *ParallelClock) SetBarrierSpins(spins int) {
 // Register adds a component at priority 0.
 func (pc *ParallelClock) Register(t Ticker) { pc.RegisterPrio(t, 0) }
 
-// RegisterPrio adds a component with an explicit priority; semantics
-// match Clock.RegisterPrio.
+// RegisterPrio adds a component with an explicit priority. Within each
+// phase, lower priorities tick first; ties run in registration order. The
+// CFM hardware has no such ordering (everything is combinational within a
+// slot) but a software model needs a deterministic schedule: e.g. switches
+// must compute connections before banks sample their inputs.
 func (pc *ParallelClock) RegisterPrio(t Ticker, prio int) {
 	pc.tickers = append(pc.tickers, tickerEntry{prio: prio, seq: len(pc.tickers), t: t})
 	pc.planned = false
@@ -399,8 +411,8 @@ func (pc *ParallelClock) RegisterPrio(t Ticker, prio int) {
 
 // Stop requests that Run return at the end of the current slot — or,
 // under epoch batching, at the end of the current episode (at most the
-// episode cap further slots). Safe to call from any worker (i.e. from
-// inside a TickShard).
+// episode cap further slots). Safe to call from inside a Tick or a
+// TickShard on any worker.
 func (pc *ParallelClock) Stop() { pc.stopped.Store(true) }
 
 // AttachState adds a named harness-owned Stater to the snapshot (see
@@ -409,13 +421,14 @@ func (pc *ParallelClock) AttachState(name string, s Stater) {
 	pc.extras = attachExtra(pc.extras, name, s)
 }
 
-// Checkpoint writes a snapshot of full engine state to w. Both engines
-// compile the same canonical (prio, seq) component order, so the
-// snapshot restores into a serial Clock just as well. Call from the
-// owner goroutine, between runs (never from inside a Tick) — which,
-// because episodes never span a Run budget, is always an episode
-// boundary: a mid-episode cut is structurally impossible rather than
-// runtime-rejected.
+// Checkpoint writes a snapshot of full engine state to w. It compiles
+// the schedule first (binding parking handles and fixing the canonical
+// (prio, seq) component order, which no worker count changes), so it may
+// be called before the first slot as well as between runs, and the
+// snapshot restores at any worker count. Call from the owner goroutine,
+// never from inside a Tick — which, because episodes never span a Run
+// budget, is always an episode boundary: a mid-episode cut is
+// structurally impossible rather than runtime-rejected.
 func (pc *ParallelClock) Checkpoint(w io.Writer) error {
 	if !pc.planned {
 		pc.compile()
@@ -423,9 +436,11 @@ func (pc *ParallelClock) Checkpoint(w io.Writer) error {
 	return writeCheckpoint(w, pc.now, pc.slotsRun, pc.slotsFired, pc.jumps, pc.tickers, pc.extras)
 }
 
-// Restore loads a snapshot written by Checkpoint (on either engine kind)
-// into this engine; semantics match Clock.Restore. Call from the owner
-// goroutine, between runs.
+// Restore loads a snapshot written by Checkpoint (at any worker count)
+// into this engine. The scenario must have been reconstructed exactly as
+// checkpointed. On error the engine and its components are in an
+// undefined state — rebuild them. Call from the owner goroutine, between
+// runs.
 func (pc *ParallelClock) Restore(r io.Reader) error {
 	if !pc.planned {
 		pc.compile()
@@ -540,7 +555,9 @@ func (pc *ParallelClock) compile() {
 	pc.compileEpochs(maxShards)
 
 	pc.workers = pc.cfgWorkers
-	if pc.cfgWorkers == WorkersAuto {
+	if maxShards == 0 {
+		pc.workers = 1 // no shard work: a pool would only add barriers
+	} else if pc.cfgWorkers == WorkersAuto {
 		// A batchable plan pays the barrier tax once per episode rather
 		// than once per slot, so it profits from workers at much
 		// narrower shard counts.
@@ -681,7 +698,7 @@ func (pc *ParallelClock) stepSerial() {
 // jump advances the clock over the quiescent stretch ending at the
 // global next-event slot, bounded by budget, returning the slots
 // skipped. Must run single-threaded between fully settled slots (the
-// serial fallback loop, or worker 0 between the control barriers).
+// inline loop, or worker 0 between the control barriers).
 func (pc *ParallelClock) jump(budget int64) int64 {
 	h := foldHorizons(pc.hplan, pc.now)
 	if h <= pc.now {
@@ -707,7 +724,8 @@ func (pc *ParallelClock) Step() {
 }
 
 // Run executes up to n slots, stopping early if Stop is called. It
-// returns the number of slots actually executed.
+// returns the number of slots actually executed (including, under
+// skip-ahead, slots jumped over as provably quiescent).
 func (pc *ParallelClock) Run(n int64) int64 {
 	pc.stopped.Store(false)
 	done, _ := pc.run(n, nil)
@@ -715,39 +733,28 @@ func (pc *ParallelClock) Run(n int64) int64 {
 }
 
 // RunUntil executes slots until pred returns true (checked between
-// slots, single-threaded) or the budget is exhausted. The per-slot
+// slots, single-threaded) or the budget is exhausted. It returns the
+// number of slots executed and whether pred was satisfied. The per-slot
 // predicate check forces slot-at-a-time execution: epoch batching is
 // bypassed for the duration of the call.
+//
+// Under skip-ahead, pred sees the state a dense run would: no component
+// state changes across a skipped stretch. A pred on Now() alone is the
+// one shape that can observe a jump — don't pair it with skip-ahead.
 func (pc *ParallelClock) RunUntil(pred func() bool, budget int64) (int64, bool) {
 	done, _ := pc.run(budget, pred)
 	return done, pred()
-}
-
-// hasParallelWork reports whether the schedule contains any shard work.
-func (pc *ParallelClock) hasParallelWork() bool {
-	for ph := Phase(0); ph < numPhases; ph++ {
-		for i := range pc.plan[ph] {
-			if pc.plan[ph][i].units != nil {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 func (pc *ParallelClock) run(n int64, pred func() bool) (int64, bool) {
 	if !pc.planned {
 		pc.compile()
 	}
-	if pc.workers == 1 || !pc.hasParallelWork() {
+	if pc.workers == 1 {
 		var done int64
 		for done < n {
-			if pred != nil {
-				if pred() {
-					return done, true
-				}
-			} else if pc.stopped.Load() {
-				break
+			if pred != nil && pred() {
+				return done, true
 			}
 			if pc.skipAhead {
 				done += pc.jump(n - done)
@@ -757,7 +764,7 @@ func (pc *ParallelClock) run(n int64, pred func() bool) (int64, bool) {
 			}
 			pc.stepSerial()
 			done++
-			// Match Clock.Run: Stop takes effect at the end of the slot.
+			// Stop takes effect at the end of the slot.
 			if pred == nil && pc.stopped.Load() {
 				break
 			}

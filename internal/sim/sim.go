@@ -15,11 +15,14 @@
 //	PhaseUpdate   ATTs shift, directories settle, statistics accumulate
 //
 // Components implement Ticker and may narrow the phases they are invoked
-// for with PhaseMask (or the older ActivePhases); both engines compile a
+// for with PhaseMask (or the older ActivePhases); the engine compiles a
 // per-phase schedule of only the interested components. Components that
 // go fully quiescent can additionally park themselves on the engine's
 // idle list (see Idler) and be woken by whichever component next touches
 // them, so a drained subsystem costs nothing per slot.
+//
+// There is one cycle engine, ParallelClock (parallel.go); Clock is its
+// one-worker setting, the serial linearization of the lock-step machine.
 package sim
 
 import (
@@ -150,10 +153,11 @@ func (m PhaseMask) Has(ph Phase) bool { return m&(1<<uint(ph)) != 0 }
 
 // PhaseMasker is the optional Ticker interface by which a component
 // narrows the phases it is scheduled in. Tick (and TickShard) MUST be
-// no-ops in phases outside the mask: both engines compile the component
+// no-ops in phases outside the mask: the engine compiles the component
 // out of those phases' schedules entirely, so an understated mask does
 // not show up as a serial/parallel divergence — it changes the
-// simulation on both engines. The golden-output tests are the guard.
+// simulation at every worker count. The golden-output tests are the
+// guard.
 //
 // The mask is read once, when the engine compiles its schedule (lazily,
 // before the first slot after a registration); it must be constant for
@@ -186,8 +190,8 @@ func maskOf(t Ticker) PhaseMask {
 //   - Park only from the component's own Tick/FinishShards (never from
 //     TickShard: the same-phase finalizer would be skipped) or from
 //     outside Run.
-//   - Wake from a program point that executes identically under both
-//     engines and is ordered before the parked component's next
+//   - Wake from a program point that executes identically at every
+//     worker count and is ordered before the parked component's next
 //     scheduled tick: an earlier serial segment or priority band, a
 //     different phase, or outside Run. Within one parallel segment the
 //     Shardable contract already forbids touching another component.
@@ -219,15 +223,15 @@ func (id *Idler) Wake() {
 func (id *Idler) Parked() bool { return id != nil && id.parked.Load() }
 
 // Parker is the optional Ticker interface by which a component receives
-// its parking handle. Engines call BindIdler once, when they compile
-// their schedule; a component registered on a new engine is re-bound. A
+// its parking handle. An engine calls BindIdler once, when it compiles
+// its schedule; a component registered on a new engine is re-bound. A
 // component instance must only ever be registered on one engine.
 type Parker interface {
 	BindIdler(*Idler)
 }
 
 // HorizonNone is the horizon of a component with no scheduled work at
-// all: "wake me never". It is the identity of the engines' min-fold, so
+// all: "wake me never". It is the identity of the engine's min-fold, so
 // a fleet in which every live component reports HorizonNone lets the
 // clock jump to the end of the run budget in one step.
 const HorizonNone Slot = 1<<63 - 1
@@ -256,7 +260,7 @@ const HorizonNone Slot = 1<<63 - 1
 // Registered components that do NOT implement Horizoner pin the engine
 // to dense ticking while they are awake (their horizon is taken as now);
 // a parked component (see Idler) is infinitely far regardless. The
-// engines only consult horizons when skip-ahead is enabled via
+// engine only consults horizons when skip-ahead is enabled via
 // SetSkipAhead, and only ever fire whole slots — every live component,
 // every phase — so a jump is observationally identical to ticking
 // through the skipped range.
@@ -265,18 +269,16 @@ type Horizoner interface {
 }
 
 // Timebase is the read-only clock interface components keep a reference
-// to when they only need the current slot (both Clock and ParallelClock
-// satisfy it).
+// to when they only need the current slot (the engine satisfies it).
 type Timebase interface {
 	Now() Slot
 }
 
-// Engine is the common cycle-engine interface of Clock (serial) and
-// ParallelClock: everything a harness needs to register components and
-// advance simulated time. The two implementations are guaranteed to
-// produce bit-for-bit identical simulations for components that honor
-// the Shardable contract (see parallel.go and the top-level differential
-// suite engine_equiv_test.go).
+// Engine is the cycle-engine interface: everything a harness needs to
+// register components and advance simulated time. ParallelClock
+// implements it, and every worker count produces a bit-for-bit identical
+// simulation for components that honor the Shardable contract (see
+// parallel.go and the top-level differential suite engine_equiv_test.go).
 type Engine interface {
 	Register(t Ticker)
 	RegisterPrio(t Ticker, prio int)
@@ -292,8 +294,9 @@ type Engine interface {
 	SlotsFired() int64
 	// SetEpochBatch bounds epoch batching: EpochAuto (0, default) lets
 	// the engine batch a batchable plan automatically, 1 disables
-	// batching, k > 1 caps episodes at k slots. A no-op on the serial
-	// engine. Off or on, the simulation is bit-identical; only Stop and
+	// batching, k > 1 caps episodes at k slots. Only a worker pool
+	// batches; the one-worker engine runs slot by slot whatever k is.
+	// Off or on, the simulation is bit-identical; only Stop and
 	// skip-ahead granularity change (episode edges instead of slots).
 	SetEpochBatch(k int)
 	Stop()
@@ -302,8 +305,8 @@ type Engine interface {
 	RunUntil(pred func() bool, budget int64) (int64, bool)
 	// Checkpoint writes a versioned binary snapshot of full engine
 	// state — clock position, per-component Stater sections, parking
-	// flags, attached extras — restorable by Restore on either engine
-	// kind (snapshots are engine-neutral; see state.go).
+	// flags, attached extras — restorable by Restore at any worker
+	// count (snapshots are engine-neutral; see state.go).
 	Checkpoint(w io.Writer) error
 	// Restore loads a snapshot written by Checkpoint into this engine,
 	// whose scenario must have been reconstructed exactly as it was when
@@ -316,28 +319,10 @@ type Engine interface {
 	AttachState(name string, s Stater)
 }
 
-// Clock owns simulated time and the ordered set of components it drives.
-// The zero value is a clock at slot 0 with no components.
-type Clock struct {
-	now     Slot
-	tickers []tickerEntry
-	// plan[ph] lists, in (prio, seq) order, the components interested in
-	// phase ph — compiled lazily so a slot touches only live pairs.
-	plan    [numPhases][]planEntry
-	planned bool
-	stopped bool
-	// skipAhead enables the event-horizon clock; hplan is the compiled
-	// horizon-fold list, one entry per registered component.
-	skipAhead bool
-	hplan     []horizonEntry
-	// extras are the harness-attached Staters snapshotted alongside the
-	// registered components (see AttachState).
-	extras []extraState
-	// Stats
-	slotsRun   int64
-	slotsFired int64
-	jumps      int64
-}
+// Clock is the cycle engine at one worker: it runs the schedule inline on
+// the caller's goroutine, starts no goroutine, never batches epochs, and
+// ends a Run at the slot boundary after Stop.
+type Clock = ParallelClock
 
 type tickerEntry struct {
 	prio int // lower runs first within a phase
@@ -364,7 +349,6 @@ type horizonEntry struct {
 }
 
 // buildHorizons compiles the horizon-fold list from sorted tickers.
-// Shared by both engines (called from their compile()).
 func buildHorizons(dst []horizonEntry, tickers []tickerEntry) []horizonEntry {
 	dst = dst[:0]
 	for i := range tickers {
@@ -413,7 +397,7 @@ func bindIdler(e *tickerEntry) *Idler {
 }
 
 // sortTickers orders entries by (prio, seq). Registration only appends,
-// so engines sort lazily before the first slot executes instead of
+// so the engine sorts lazily before the first slot executes instead of
 // re-sorting on every RegisterPrio call (which made setting up large
 // configurations O(n² log n)).
 func sortTickers(entries []tickerEntry) {
@@ -425,199 +409,5 @@ func sortTickers(entries []tickerEntry) {
 	})
 }
 
-// NewClock returns a clock at slot 0.
-func NewClock() *Clock { return &Clock{} }
-
-// Now returns the current slot. During a tick it is the slot being
-// executed; between Run calls it is the next slot to execute.
-func (c *Clock) Now() Slot { return c.now }
-
-// SlotsRun reports how many complete slots have been executed, skipped
-// quiescent slots included (under skip-ahead, Now advances by exactly
-// SlotsRun either way).
-func (c *Clock) SlotsRun() int64 { return c.slotsRun }
-
-// SlotsFired reports how many slots actually executed their phase plan.
-// Without skip-ahead it equals SlotsRun.
-func (c *Clock) SlotsFired() int64 { return c.slotsFired }
-
-// Jumps reports how many skip-ahead jumps actually advanced the clock
-// (each covering one or more quiescent slots). Zero without skip-ahead.
-// Like SlotsFired it is engine bookkeeping, not simulation state: two
-// runs may jump differently yet simulate identically.
-func (c *Clock) Jumps() int64 { return c.jumps }
-
-// SetSkipAhead enables or disables the event-horizon clock. May be
-// toggled between runs; the simulated observables are identical either
-// way (skipped slots are provably no-ops — see Horizoner).
-func (c *Clock) SetSkipAhead(on bool) { c.skipAhead = on }
-
-// SetEpochBatch is a no-op on the serial engine: epoch batching only
-// amortizes barrier crossings, and Clock has none. Present so harness
-// code can set the knob through the Engine interface uniformly.
-func (c *Clock) SetEpochBatch(k int) {}
-
-// Register adds a component at priority 0.
-func (c *Clock) Register(t Ticker) { c.RegisterPrio(t, 0) }
-
-// RegisterPrio adds a component with an explicit priority. Within each
-// phase, lower priorities tick first; ties run in registration order. The
-// CFM hardware has no such ordering (everything is combinational within a
-// slot) but a software model needs a deterministic schedule: e.g. switches
-// must compute connections before banks sample their inputs.
-func (c *Clock) RegisterPrio(t Ticker, prio int) {
-	c.tickers = append(c.tickers, tickerEntry{prio: prio, seq: len(c.tickers), t: t})
-	c.planned = false
-}
-
-// Stop requests that Run return at the end of the current slot. It may be
-// called by a component from inside a Tick.
-func (c *Clock) Stop() { c.stopped = true }
-
-// AttachState adds a named harness-owned Stater to the snapshot (see
-// Engine.AttachState).
-func (c *Clock) AttachState(name string, s Stater) {
-	c.extras = attachExtra(c.extras, name, s)
-}
-
-// Checkpoint writes a snapshot of full engine state to w. It compiles
-// the schedule first (binding parking handles and fixing the canonical
-// component order), so it may be called before the first slot as well as
-// between runs. Must not be called from inside a Tick.
-func (c *Clock) Checkpoint(w io.Writer) error {
-	if !c.planned {
-		c.compile()
-	}
-	return writeCheckpoint(w, c.now, c.slotsRun, c.slotsFired, c.jumps, c.tickers, c.extras)
-}
-
-// Restore loads a snapshot written by Checkpoint (on either engine kind)
-// into this engine. The scenario must have been reconstructed exactly as
-// checkpointed. On error the engine and its components are in an
-// undefined state — rebuild them.
-func (c *Clock) Restore(r io.Reader) error {
-	if !c.planned {
-		c.compile()
-	}
-	snap, err := readCheckpoint(r, c.tickers, c.extras)
-	if err != nil {
-		return err
-	}
-	c.now = snap.now
-	c.slotsRun = snap.slotsRun
-	c.slotsFired = snap.slotsFired
-	c.jumps = snap.jumps
-	c.stopped = false
-	return nil
-}
-
-// compile sorts the tickers and builds the per-phase schedules, binding
-// parking handles along the way.
-func (c *Clock) compile() {
-	sortTickers(c.tickers)
-	for ph := range c.plan {
-		c.plan[ph] = c.plan[ph][:0]
-	}
-	for i := range c.tickers {
-		e := &c.tickers[i]
-		id := bindIdler(e)
-		m := maskOf(e.t)
-		for ph := Phase(0); ph < numPhases; ph++ {
-			if m.Has(ph) {
-				c.plan[ph] = append(c.plan[ph], planEntry{t: e.t, id: id})
-			}
-		}
-	}
-	c.hplan = buildHorizons(c.hplan, c.tickers)
-	c.planned = true
-}
-
-// jump advances the clock over the quiescent stretch ending at the
-// global next-event slot, bounded by the remaining slot budget. It
-// returns the number of slots skipped (possibly 0). Only called with
-// skip-ahead on, between fully settled slots.
-func (c *Clock) jump(budget int64) int64 {
-	h := foldHorizons(c.hplan, c.now)
-	if h <= c.now {
-		return 0
-	}
-	n := int64(h - c.now)
-	if h == HorizonNone || n > budget || n < 0 {
-		n = budget
-	}
-	c.now += Slot(n)
-	c.slotsRun += n
-	c.jumps++
-	return n
-}
-
-// Step executes exactly one slot: every phase, every live component.
-func (c *Clock) Step() {
-	if !c.planned {
-		c.compile()
-	}
-	for ph := Phase(0); ph < numPhases; ph++ {
-		for _, e := range c.plan[ph] {
-			if e.id.Parked() {
-				continue
-			}
-			e.t.Tick(c.now, ph)
-		}
-	}
-	c.now++
-	c.slotsRun++
-	c.slotsFired++
-}
-
-// Run executes up to n slots, stopping early if Stop is called. It
-// returns the number of slots actually executed (including, under
-// skip-ahead, slots jumped over as provably quiescent).
-func (c *Clock) Run(n int64) int64 {
-	c.stopped = false
-	if !c.planned {
-		c.compile()
-	}
-	var done int64
-	for done < n && !c.stopped {
-		if c.skipAhead {
-			done += c.jump(n - done)
-			if done >= n {
-				break
-			}
-		}
-		c.Step()
-		done++
-	}
-	return done
-}
-
-// RunUntil executes slots until pred returns true (checked between slots)
-// or the slot budget is exhausted. It returns the number of slots executed
-// and whether pred was satisfied.
-//
-// Under skip-ahead, pred is evaluated at the same state it would see in a
-// dense run: no component state changes across a skipped stretch, so a
-// pred that was false before a jump stays false through it. A pred that
-// depends on Now() alone (rather than on component state) is the one
-// shape that can observe a difference — don't pair such a pred with
-// skip-ahead.
-func (c *Clock) RunUntil(pred func() bool, budget int64) (int64, bool) {
-	if !c.planned {
-		c.compile()
-	}
-	var done int64
-	for done < budget {
-		if pred() {
-			return done, true
-		}
-		if c.skipAhead {
-			done += c.jump(budget - done)
-			if done >= budget {
-				break
-			}
-		}
-		c.Step()
-		done++
-	}
-	return done, pred()
-}
+// NewClock returns the one-worker engine at slot 0.
+func NewClock() *Clock { return NewParallelClock(1) }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -12,6 +13,45 @@ func TestClockStartsAtZero(t *testing.T) {
 	}
 	if c.SlotsRun() != 0 {
 		t.Fatalf("SlotsRun() = %d, want 0", c.SlotsRun())
+	}
+}
+
+// TestClockIsOneWorkerEngine pins the contract of the one-worker engine
+// on a plan that a worker pool would epoch-batch: Stop ends Run after
+// the slot that called it, no barrier is crossed and no episode folds,
+// no goroutine starts, and Close is a no-op.
+func TestClockIsOneWorkerEngine(t *testing.T) {
+	const stopAt = 21
+	before := runtime.NumGoroutine()
+	c := NewClock()
+	e := newEpochComp(8, MaskAll)
+	e.stopAt, e.stop = stopAt, c.Stop
+	c.Register(e)
+	c.SetEpochBatch(16)
+	if got := c.Run(100); got != stopAt+1 {
+		t.Fatalf("Run returned %d after Stop at slot %d, want %d", got, stopAt, stopAt+1)
+	}
+	if !c.batchable || c.Workers() != 1 {
+		t.Fatalf("batchable=%v workers=%d, want a batchable plan on one worker", c.batchable, c.Workers())
+	}
+	if c.Now() != stopAt+1 || c.SlotsFired() != stopAt+1 {
+		t.Fatalf("Now=%d SlotsFired=%d, want both %d", c.Now(), c.SlotsFired(), stopAt+1)
+	}
+	if c.BarrierCrossings() != 0 || c.Epochs() != 0 || e.epCalls != 0 {
+		t.Fatalf("crossings=%d epochs=%d FinishEpoch calls=%d, want all 0",
+			c.BarrierCrossings(), c.Epochs(), e.epCalls)
+	}
+	// Goroutines of earlier tests may still be exiting, so only a rise
+	// means this engine started a worker.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines %d -> %d across the run, want no new one", before, after)
+	}
+	c.Close()
+	if c.pool != nil || c.Now() != stopAt+1 {
+		t.Fatalf("Close changed the engine: pool=%v Now=%d", c.pool, c.Now())
+	}
+	if got := c.Run(10); got != 10 || c.Now() != stopAt+11 {
+		t.Fatalf("Run after Close returned %d at Now=%d, want 10 at %d", got, c.Now(), stopAt+11)
 	}
 }
 

@@ -13,14 +13,14 @@ import (
 // Engine.Checkpoint and read back by Engine.Restore.
 //
 // A snapshot does NOT serialize component identity or topology: it holds
-// one opaque state section per registered component, in the engines'
+// one opaque state section per registered component, in the engine's
 // compiled (priority, registration) order. Restoring therefore requires
 // an engine populated by the same scenario construction code (same
 // constructors, same seeds, same registration order) as the one that was
 // checkpointed; Restore then loads each saved section into the matching
-// live component. Because both engines sort tickers identically, a
-// snapshot taken under the serial Clock restores into a ParallelClock
-// and vice versa — snapshots are engine-neutral, and independent of
+// live component. Because the sort does not depend on the worker count,
+// a snapshot taken on one worker restores into a worker pool and vice
+// versa — snapshots are engine-neutral, and independent of
 // whether skip-ahead was or will be enabled (a skipped slot changes no
 // component state by the Horizoner contract). Epoch batching is equally
 // invisible: Checkpoint is only legal between runs, an episode never
@@ -61,7 +61,7 @@ import (
 // same seeds). Neither returns an error: failures are recorded on the
 // encoder/decoder (see Failf) and surfaced by Checkpoint/Restore.
 //
-// The contract mirrors the engines' determinism discipline:
+// The contract mirrors the engine's determinism discipline:
 //
 //   - Save/Load must round-trip every field that can influence future
 //     observable behaviour: RNG streams, queues, in-flight operations,
@@ -593,9 +593,9 @@ func readCheckpoint(r io.Reader, tickers []tickerEntry, extras []extraState) (en
 // Restore builds a fresh engine with build — which must reconstruct the
 // checkpointed scenario exactly (same constructors, same seeds, same
 // registration order, same attached extras) — and loads the snapshot
-// into it. The engine kind need not match the checkpointing one:
-// snapshots are engine-neutral, so a serial checkpoint restores into a
-// ParallelClock and vice versa.
+// into it. The worker count need not match the checkpointing one:
+// snapshots are engine-neutral, so a one-worker checkpoint restores
+// into a worker pool and vice versa.
 func Restore(r io.Reader, build func() Engine) (Engine, error) {
 	eng := build()
 	if err := eng.Restore(r); err != nil {

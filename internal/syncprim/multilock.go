@@ -81,6 +81,10 @@ func (m *MultiLocker) Holding(p int) Pattern {
 	return m.held[p]
 }
 
+// Idle reports whether p has no request pending, holds nothing and has
+// no unlock in flight, so Request may be called for it.
+func (m *MultiLocker) Idle(p int) bool { return m.state[p] == msIdle && m.want[p] == 0 }
+
 // Release schedules the atomic unlock of every lock p holds.
 func (m *MultiLocker) Release(p int) {
 	if m.state[p] != msHolding {
