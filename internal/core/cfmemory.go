@@ -422,6 +422,10 @@ func (m *CFMemory) FinishShards(t sim.Slot, ph sim.Phase) {
 			st.tFlights = st.tFlights[:0]
 		}
 	case sim.PhaseUpdate:
+		// Completed folds in processor order, ahead of each processor's
+		// done callbacks, as the serial order has it; the registry
+		// counter (an atomic) takes the summed delta once.
+		var completed int64
 		for p := range m.stage {
 			st := &m.stage[p]
 			for _, e := range st.events {
@@ -433,7 +437,7 @@ func (m *CFMemory) FinishShards(t sim.Slot, ph sim.Phase) {
 			}
 			st.uFlights = st.uFlights[:0]
 			m.Completed += st.completed
-			m.mCompleted.Add(st.completed)
+			completed += st.completed
 			st.completed = 0
 			for _, d := range st.done {
 				d.a.done(d.a.buf)
@@ -441,6 +445,7 @@ func (m *CFMemory) FinishShards(t sim.Slot, ph sim.Phase) {
 			}
 			st.done = st.done[:0]
 		}
+		m.mCompleted.Add(completed)
 		// Park once fully drained. A done callback above may have begun a
 		// new access (and woken us), which this check then sees in cur.
 		drained := true
@@ -510,10 +515,10 @@ func (m *CFMemory) FinishEpoch(from, to sim.Slot) {
 			}
 		}
 	}
+	var completed int64
 	for p := range m.stage {
 		st := &m.stage[p]
-		m.Completed += st.completed
-		m.mCompleted.Add(st.completed)
+		completed += st.completed
 		st.completed = 0
 		st.visits = st.visits[:0]
 		st.tFlights = st.tFlights[:0]
@@ -521,6 +526,8 @@ func (m *CFMemory) FinishEpoch(from, to sim.Slot) {
 		st.uFlights = st.uFlights[:0]
 		st.done = st.done[:0]
 	}
+	m.Completed += completed
+	m.mCompleted.Add(completed)
 	m.folding = false
 	// Park once fully drained — an episode edge, as the epoch contract
 	// requires.

@@ -241,16 +241,21 @@ func (cs *ClusterSystem) TickShard(t sim.Slot, ph sim.Phase, ci int) {
 // cluster's state (recording arrival, chaining a next access), which
 // would race with that cluster's own shard.
 func (cs *ClusterSystem) FinishShards(t sim.Slot, ph sim.Phase) {
+	// RemoteCompleted folds in cluster order, ahead of each cluster's
+	// replies; the registry counter (an atomic) takes the summed delta
+	// once.
+	var remote int64
 	for ci := range cs.stage {
 		st := &cs.stage[ci]
 		cs.RemoteCompleted += st.remote
-		cs.mRemote.Add(st.remote)
+		remote += st.remote
 		st.remote = 0
 		for _, reply := range st.replies {
 			reply()
 		}
 		st.replies = st.replies[:0]
 	}
+	cs.mRemote.Add(remote)
 	if ph == sim.PhaseUpdate && cs.drained() {
 		// Replies above may have chained new local/remote accesses (and
 		// woken us); drained() runs after them, so parking is safe.

@@ -465,30 +465,46 @@ func (p *Partial) eventSlot(j int) sim.Slot {
 // FinishShards implements sim.ShardFinalizer: fold the per-shard
 // measurement deltas into the public counters in shard order.
 func (p *Partial) FinishShards(t sim.Slot, ph sim.Phase) {
+	p.foldCounters()
 	for s := range p.stage {
 		st := &p.stage[s]
-		p.Completed += st.completed
-		p.Retries += st.retries
-		p.TotalLatency += st.totalLatency
-		p.LocalAcc += st.localAcc
-		p.RemoteAcc += st.remoteAcc
-		p.mCompleted.Add(st.completed)
-		p.mRetries.Add(st.retries)
-		p.mLatency.Add(st.totalLatency)
-		p.mLocal.Add(st.localAcc)
-		p.mRemote.Add(st.remoteAcc)
-		for _, l := range st.lats {
-			p.mLatHist.Observe(l)
-		}
 		for _, ev := range st.flights {
 			p.flt.Append(ev) //cfm:flight-ok fold drain; st.flights stays empty while recording is off
 		}
-		// Field-wise reset keeps the lats capacity for the next slot.
+		st.flights = st.flights[:0]
+	}
+}
+
+// foldCounters folds and clears every shard's staged counters and
+// latencies. The deltas are summed first so each total and registry
+// counter (an atomic) takes one add per fold, not one per shard.
+func (p *Partial) foldCounters() {
+	var completed, retries, latency, local, remote int64
+	for s := range p.stage {
+		st := &p.stage[s]
+		completed += st.completed
+		retries += st.retries
+		latency += st.totalLatency
+		local += st.localAcc
+		remote += st.remoteAcc
+		for _, l := range st.lats {
+			p.mLatHist.Observe(l)
+		}
+		// Field-wise reset keeps the lats capacity for the next fold.
 		st.completed, st.retries, st.totalLatency = 0, 0, 0
 		st.localAcc, st.remoteAcc = 0, 0
 		st.lats = st.lats[:0]
-		st.flights = st.flights[:0]
 	}
+	p.Completed += completed
+	p.Retries += retries
+	p.TotalLatency += latency
+	p.LocalAcc += local
+	p.RemoteAcc += remote
+	p.mCompleted.Add(completed)
+	p.mRetries.Add(retries)
+	p.mLatency.Add(latency)
+	p.mLocal.Add(local)
+	p.mRemote.Add(remote)
 }
 
 // EpochSafe implements sim.EpochSafeTicker: Partial has global shard
@@ -509,25 +525,7 @@ func (p *Partial) EpochSafe() bool { return true }
 // order — are merged slot-major with per-shard cursors, reproducing
 // the serial (slot, shard, emission) order exactly.
 func (p *Partial) FinishEpoch(from, to sim.Slot) {
-	for s := range p.stage {
-		st := &p.stage[s]
-		p.Completed += st.completed
-		p.Retries += st.retries
-		p.TotalLatency += st.totalLatency
-		p.LocalAcc += st.localAcc
-		p.RemoteAcc += st.remoteAcc
-		p.mCompleted.Add(st.completed)
-		p.mRetries.Add(st.retries)
-		p.mLatency.Add(st.totalLatency)
-		p.mLocal.Add(st.localAcc)
-		p.mRemote.Add(st.remoteAcc)
-		for _, l := range st.lats {
-			p.mLatHist.Observe(l)
-		}
-		st.completed, st.retries, st.totalLatency = 0, 0, 0
-		st.localAcc, st.remoteAcc = 0, 0
-		st.lats = st.lats[:0]
-	}
+	p.foldCounters()
 	if p.flt.Enabled() {
 		for s := range p.epochCursors {
 			p.epochCursors[s] = 0

@@ -216,17 +216,24 @@ func (r *Recorder) Reset() {
 	r.head, r.n, r.dropped = 0, 0, 0
 }
 
+// live returns the live events, oldest first, as the ring's two
+// contiguous runs; the second is empty until the ring has wrapped.
+func (r *Recorder) live() (older, newer []Event) {
+	if r.n < len(r.events) {
+		return r.events[:r.n], nil
+	}
+	return r.events[r.head:], r.events[:r.head]
+}
+
 // Events returns the live events, oldest first, as a fresh slice.
 func (r *Recorder) Events() []Event {
 	if r == nil || r.n == 0 {
 		return nil
 	}
+	older, newer := r.live()
 	out := make([]Event, 0, r.n)
-	if r.n < len(r.events) {
-		return append(out, r.events[:r.n]...)
-	}
-	out = append(out, r.events[r.head:]...)
-	return append(out, r.events[:r.head]...)
+	out = append(out, older...)
+	return append(out, newer...)
 }
 
 // FNV-1a, the digest primitive shared with sim.Trace and
@@ -256,23 +263,14 @@ func (r *Recorder) Digest() uint64 {
 	if r == nil {
 		return h
 	}
-	digestOne := func(ev Event) {
-		h = fnvMix(h, ev.ID)
-		h = fnvMix(h, uint64(ev.Slot))
-		h = fnvMix(h, uint64(ev.Stage))
-		h = fnvMix(h, uint64(uint32(ev.Actor)))
-		h = fnvMix(h, uint64(ev.Arg))
-	}
-	if r.n < len(r.events) {
-		for _, ev := range r.events[:r.n] {
-			digestOne(ev)
-		}
-	} else {
-		for _, ev := range r.events[r.head:] {
-			digestOne(ev)
-		}
-		for _, ev := range r.events[:r.head] {
-			digestOne(ev)
+	older, newer := r.live()
+	for _, run := range [2][]Event{older, newer} {
+		for _, ev := range run {
+			h = fnvMix(h, ev.ID)
+			h = fnvMix(h, uint64(ev.Slot))
+			h = fnvMix(h, uint64(ev.Stage))
+			h = fnvMix(h, uint64(uint32(ev.Actor)))
+			h = fnvMix(h, uint64(ev.Arg))
 		}
 	}
 	return fnvMix(h, r.dropped)
@@ -284,16 +282,18 @@ func (r *Recorder) Digest() uint64 {
 // run's was — which is what lets the bisector compare span digests
 // across checkpoint/restore probes.
 func (r *Recorder) SaveState(enc *sim.StateEncoder) {
-	evs := r.Events()
 	enc.Int(len(r.events))
 	enc.U64(r.dropped)
-	enc.Int(len(evs))
-	for _, ev := range evs {
-		enc.U64(ev.ID)
-		enc.Slot(ev.Slot)
-		enc.U64(uint64(ev.Stage))
-		enc.I64(int64(ev.Actor))
-		enc.I64(ev.Arg)
+	enc.Int(r.n)
+	older, newer := r.live()
+	for _, run := range [2][]Event{older, newer} {
+		for _, ev := range run {
+			enc.U64(ev.ID)
+			enc.Slot(ev.Slot)
+			enc.U64(uint64(ev.Stage))
+			enc.I64(int64(ev.Actor))
+			enc.I64(ev.Arg)
+		}
 	}
 }
 

@@ -255,20 +255,16 @@ func (b *BufferedOmega) TickShard(t sim.Slot, ph sim.Phase, s int) {
 // sweep that the drained sinks just made room for.
 func (b *BufferedOmega) FinishShards(t sim.Slot, ph sim.Phase) {
 	last := b.o.Columns() - 1
+	// The deltas are summed first so each total and registry counter
+	// (an atomic) takes one add per fold, not one per terminal.
+	var injected, delivBg, delivHot, latBg, latHot int64
 	for s := range b.stage {
 		st := &b.stage[s]
-		b.Injected += st.injected
-		b.DeliveredBg += st.deliveredBg
-		b.DeliveredHot += st.deliveredHot
-		b.LatencyBgTotal += st.latencyBgTotal
-		b.LatencyHotTotal += st.latencyHotTotal
-		b.injectCount += int(st.injected)
-		b.colCount[last] -= int(st.deliveredBg + st.deliveredHot)
-		b.mInjected.Add(st.injected)
-		b.mDelivBg.Add(st.deliveredBg)
-		b.mDelivHot.Add(st.deliveredHot)
-		b.mLatBg.Add(st.latencyBgTotal)
-		b.mLatHot.Add(st.latencyHotTotal)
+		injected += st.injected
+		delivBg += st.deliveredBg
+		delivHot += st.deliveredHot
+		latBg += st.latencyBgTotal
+		latHot += st.latencyHotTotal
 		for _, ev := range st.flights {
 			b.flt.Append(ev) //cfm:flight-ok fold drain; st.flights stays empty while recording is off
 		}
@@ -277,6 +273,18 @@ func (b *BufferedOmega) FinishShards(t sim.Slot, ph sim.Phase) {
 		st.latencyBgTotal, st.latencyHotTotal = 0, 0
 		st.flights = st.flights[:0]
 	}
+	b.Injected += injected
+	b.DeliveredBg += delivBg
+	b.DeliveredHot += delivHot
+	b.LatencyBgTotal += latBg
+	b.LatencyHotTotal += latHot
+	b.injectCount += int(injected)
+	b.colCount[last] -= int(delivBg + delivHot)
+	b.mInjected.Add(injected)
+	b.mDelivBg.Add(delivBg)
+	b.mDelivHot.Add(delivHot)
+	b.mLatBg.Add(latBg)
+	b.mLatHot.Add(latHot)
 	if ph == sim.PhaseTransfer {
 		for j := last; j >= 0; j-- {
 			// Active set: a column with an empty upstream has no candidate

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"cfm/internal/flight"
@@ -115,23 +116,48 @@ func (ob *Observatory) MaybeResume(eng sim.Engine) error {
 
 // MaybeCheckpoint writes eng's state to the -checkpoint-out file when
 // the flag is set; a no-op otherwise. Call after the run has finished.
+// A failed checkpoint leaves any file already at that path untouched.
 func (ob *Observatory) MaybeCheckpoint(eng sim.Engine) error {
 	if ob.CheckpointOut == "" {
 		return nil
 	}
-	f, err := os.Create(ob.CheckpointOut)
-	if err != nil {
-		return err
-	}
-	if err := eng.Checkpoint(f); err != nil {
-		f.Close()
+	if err := replaceFile(ob.CheckpointOut, eng.Checkpoint); err != nil {
 		return fmt.Errorf("checkpoint to %s: %w", ob.CheckpointOut, err)
-	}
-	if err := f.Close(); err != nil {
-		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote checkpoint (slot %d) to %s\n", eng.Now(), ob.CheckpointOut)
 	return nil
+}
+
+// replaceFile writes path through write by way of a temporary file in
+// the same directory, renamed over path only once write, Sync and Close
+// have all succeeded. On any failure the temporary file is removed and
+// path keeps its previous contents.
+func replaceFile(path string, write func(io.Writer) error) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close() // already failed; the close error adds nothing
+			os.Remove(f.Name())
+		}
+	}()
+	// CreateTemp makes the file private; give it os.Create's mode under
+	// the usual 022 umask.
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = write(f); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // Wanted reports whether any observability flag was set.

@@ -1,7 +1,9 @@
 package obsflags
 
 import (
+	"bytes"
 	"flag"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -169,5 +171,58 @@ func TestHeatRowsUnobserved(t *testing.T) {
 	labels, rows := ob.HeatRows("family", "p", true)
 	if labels != nil || rows != nil {
 		t.Fatalf("unobserved HeatRows = %v, %v; want nil, nil", labels, rows)
+	}
+}
+
+// TestMaybeCheckpointReplacesOnlyOnSuccess: -checkpoint-out replaces
+// its target only when the checkpoint succeeds. A successful one writes
+// exactly eng.Checkpoint's bytes; a failing one (an unserializable
+// callback) leaves the previous snapshot byte-for-byte and no temporary
+// file behind.
+func TestMaybeCheckpointReplacesOnlyOnSuccess(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ck.cfm")
+	ob := &Observatory{CheckpointOut: path}
+
+	good := sim.NewClock()
+	good.Register(&sim.FuncTicker{OnTick: func(sim.Slot, sim.Phase) {}})
+	good.Run(7)
+	if err := ob.MaybeCheckpoint(good); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	var want bytes.Buffer
+	if err := good.Checkpoint(&want); err != nil {
+		t.Fatalf("reference checkpoint: %v", err)
+	}
+	prev, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(prev, want.Bytes()) {
+		t.Fatalf("-checkpoint-out wrote %d bytes, eng.Checkpoint gives %d", len(prev), want.Len())
+	}
+
+	bad := sim.NewClock()
+	bad.Register(&sim.FuncTicker{
+		OnTick: func(sim.Slot, sim.Phase) {},
+		Save:   func(enc *sim.StateEncoder) { enc.Failf("external callback cannot be serialized") },
+	})
+	bad.Run(9)
+	if err := ob.MaybeCheckpoint(bad); err == nil {
+		t.Fatal("failing checkpoint reported success")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, prev) {
+		t.Fatal("a failed checkpoint changed the previous snapshot")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after a failed checkpoint, want only the snapshot", len(entries))
 	}
 }

@@ -294,6 +294,12 @@ type ParallelClock struct {
 	jumps      int64
 	crossings  int64
 	epochs     int64
+	// codec is the checkpoint encoder. Checkpoint encodes into its
+	// buffer and Restore reads into the same buffer, so once it has grown
+	// to the snapshot's size neither allocates in proportion to the
+	// snapshot. It is last, after the fields the workers share, so that
+	// adding it moved none of them.
+	codec StateEncoder
 }
 
 // workerPool holds the persistent worker goroutines of one resolved
@@ -433,7 +439,7 @@ func (pc *ParallelClock) Checkpoint(w io.Writer) error {
 	if !pc.planned {
 		pc.compile()
 	}
-	return writeCheckpoint(w, pc.now, pc.slotsRun, pc.slotsFired, pc.jumps, pc.tickers, pc.extras)
+	return writeCheckpoint(w, &pc.codec, pc.now, pc.slotsRun, pc.slotsFired, pc.jumps, pc.tickers, pc.extras)
 }
 
 // Restore loads a snapshot written by Checkpoint (at any worker count)
@@ -445,7 +451,7 @@ func (pc *ParallelClock) Restore(r io.Reader) error {
 	if !pc.planned {
 		pc.compile()
 	}
-	snap, err := readCheckpoint(r, pc.tickers, pc.extras)
+	snap, err := readCheckpoint(r, &pc.codec.buf, pc.tickers, pc.extras)
 	if err != nil {
 		return err
 	}

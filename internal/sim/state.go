@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 )
 
 // This file implements deterministic checkpoint/restore: a versioned,
@@ -167,6 +168,30 @@ func (e *StateEncoder) Bytes32(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// beginSection opens a length-prefixed byte section framed in place:
+// it appends the tag and a length placeholder, the section's values are
+// then encoded straight after them, and endSection patches the length.
+// The bytes equal Bytes32 of the same section encoded apart.
+func (e *StateEncoder) beginSection() int {
+	at := len(e.buf)
+	e.buf = append(e.buf, tagBytes, 0, 0, 0, 0)
+	return at
+}
+
+// endSection patches the length of the section beginSection opened at at.
+func (e *StateEncoder) endSection(at int) {
+	if e.err != nil {
+		return
+	}
+	n := len(e.buf) - at - 5
+	if n > int(^uint32(0)) {
+		e.Failf("sim: state section of %d bytes exceeds the format's u32 length", n)
+		return
+	}
+	b := e.buf[at+1 : at+5]
+	b[0], b[1], b[2], b[3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
+}
+
 // String appends a length-prefixed string.
 func (e *StateEncoder) String(s string) {
 	if e.err != nil {
@@ -292,6 +317,9 @@ func (d *StateDecoder) Bool() bool {
 	return b == 1
 }
 
+// lenPrefixed reads a length-prefixed payload as a view of the input,
+// capped at its own length, so a nested decoder can read a section in
+// place and an append to the view cannot reach the bytes after it.
 func (d *StateDecoder) lenPrefixed(want byte, name string) []byte {
 	if !d.tag(want, name) {
 		return nil
@@ -307,14 +335,21 @@ func (d *StateDecoder) lenPrefixed(want byte, name string) []byte {
 		d.Failf("sim: corrupt state: %s length %d exceeds %d remaining bytes", name, n, d.Remaining())
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+n])
+	view := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
-	return out
+	return view
 }
 
 // Bytes32 reads a length-prefixed byte section (a fresh copy).
-func (d *StateDecoder) Bytes32() []byte { return d.lenPrefixed(tagBytes, "bytes") }
+func (d *StateDecoder) Bytes32() []byte {
+	view := d.lenPrefixed(tagBytes, "bytes")
+	if d.err != nil {
+		return nil
+	}
+	out := make([]byte, len(view))
+	copy(out, view)
+	return out
+}
 
 // String reads a length-prefixed string.
 func (d *StateDecoder) String() string { return string(d.lenPrefixed(tagString, "string")) }
@@ -417,10 +452,16 @@ func appendU64(b []byte, v uint64) []byte {
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
-// writeCheckpoint serializes an engine's full state. tickers must be in
-// compiled (prio, seq) order — the caller compiles first.
-func writeCheckpoint(w io.Writer, now Slot, slotsRun, slotsFired, jumps int64, tickers []tickerEntry, extras []extraState) error {
-	enc := NewStateEncoder()
+// writeCheckpoint serializes an engine's full state into enc, the
+// engine's codec encoder, and hands its buffer to w in one Write.
+// tickers must be in compiled (prio, seq) order — the caller compiles
+// first. Every state section is framed in place on the one encoder, so
+// no section is encoded apart and copied, and the buffer's capacity
+// carries over to the next checkpoint. Nothing reaches w when any
+// SaveState fails.
+func writeCheckpoint(w io.Writer, enc *StateEncoder, now Slot, slotsRun, slotsFired, jumps int64, tickers []tickerEntry, extras []extraState) error {
+	enc.buf, enc.err = append(enc.buf[:0], checkpointMagic...), nil
+	enc.buf = appendU32(enc.buf, CheckpointVersion)
 	enc.Slot(now)
 	enc.I64(slotsRun)
 	enc.I64(slotsFired)
@@ -432,35 +473,63 @@ func writeCheckpoint(w io.Writer, now Slot, slotsRun, slotsFired, jumps int64, t
 		st, ok := e.t.(Stater)
 		enc.Bool(ok)
 		if ok {
-			sub := NewStateEncoder()
-			st.SaveState(sub)
-			if err := sub.Err(); err != nil {
+			at := enc.beginSection()
+			st.SaveState(enc)
+			enc.endSection(at)
+			if err := enc.Err(); err != nil {
 				return fmt.Errorf("sim: checkpoint: component %d (%T): %w", i, e.t, err)
 			}
-			enc.Bytes32(sub.Bytes())
 		}
 	}
 	enc.Int(len(extras))
 	for _, x := range extras {
 		enc.String(x.name)
-		sub := NewStateEncoder()
-		x.s.SaveState(sub)
-		if err := sub.Err(); err != nil {
+		at := enc.beginSection()
+		x.s.SaveState(enc)
+		enc.endSection(at)
+		if err := enc.Err(); err != nil {
 			return fmt.Errorf("sim: checkpoint: extra %q (%T): %w", x.name, x.s, err)
 		}
-		enc.Bytes32(sub.Bytes())
 	}
 	if err := enc.Err(); err != nil {
 		return err
 	}
-
-	out := make([]byte, 0, len(checkpointMagic)+4+len(enc.Bytes())+8)
-	out = append(out, checkpointMagic...)
-	out = appendU32(out, CheckpointVersion)
-	out = append(out, enc.Bytes()...)
-	out = appendU64(out, fnv1a(out))
-	_, err := w.Write(out)
+	enc.buf = appendU64(enc.buf, fnv1a(enc.buf))
+	_, err := w.Write(enc.buf)
 	return err
+}
+
+// readSnapshot reads r to EOF into *buf, the engine's codec buffer, and
+// returns the bytes read. A reader that reports its size (Len, or Stat
+// for a file) sizes the buffer up front; any other grows it as it goes.
+func readSnapshot(r io.Reader, buf *[]byte) ([]byte, error) {
+	b := (*buf)[:0]
+	size := -1
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		size = s.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil && int64(int(fi.Size())) == fi.Size() {
+			size = int(fi.Size())
+		}
+	}
+	if size >= cap(b) { // one byte over, so the Read that reports EOF needs no growth
+		b = make([]byte, 0, size+1)
+	}
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			*buf = b
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // engineSnapshot is the scalar engine state a restore hands back to the
@@ -480,9 +549,9 @@ var ErrUnsupportedVersion = errors.New("unsupported checkpoint version")
 // components and extras. tickers must be in compiled order with idlers
 // bound. On error the components may be partially loaded; the engine
 // should be considered unusable and rebuilt.
-func readCheckpoint(r io.Reader, tickers []tickerEntry, extras []extraState) (engineSnapshot, error) {
+func readCheckpoint(r io.Reader, buf *[]byte, tickers []tickerEntry, extras []extraState) (engineSnapshot, error) {
 	var zero engineSnapshot
-	raw, err := io.ReadAll(r)
+	raw, err := readSnapshot(r, buf)
 	if err != nil {
 		return zero, fmt.Errorf("sim: restore: reading snapshot: %w", err)
 	}
@@ -505,6 +574,7 @@ func readCheckpoint(r io.Reader, tickers []tickerEntry, extras []extraState) (en
 	}
 
 	dec := NewStateDecoder(body[len(checkpointMagic)+4:])
+	var sub StateDecoder // reused for every section, each a view of raw
 	var snap engineSnapshot
 	snap.now = dec.Slot()
 	snap.slotsRun = dec.I64()
@@ -529,12 +599,11 @@ func readCheckpoint(r io.Reader, tickers []tickerEntry, extras []extraState) (en
 			return zero, fmt.Errorf("sim: restore: component %d (%T): snapshot state presence %v, component Stater %v — scenario construction diverged from the checkpointed one", i, e.t, hasState, isStater)
 		}
 		if hasState {
-			section := dec.Bytes32()
+			sub = StateDecoder{buf: dec.lenPrefixed(tagBytes, "bytes")}
 			if err := dec.Err(); err != nil {
 				return zero, err
 			}
-			sub := NewStateDecoder(section)
-			st.LoadState(sub)
+			st.LoadState(&sub)
 			if err := sub.Err(); err != nil {
 				return zero, fmt.Errorf("sim: restore: component %d (%T): %w", i, e.t, err)
 			}
@@ -561,19 +630,19 @@ func readCheckpoint(r io.Reader, tickers []tickerEntry, extras []extraState) (en
 		return zero, fmt.Errorf("sim: restore: snapshot has %d attached extras, engine has %d", ne, len(extras))
 	}
 	for i := range extras {
-		name := dec.String()
+		name := extras[i].name
+		saved := dec.lenPrefixed(tagString, "string") // a view: compared, not kept
 		if err := dec.Err(); err != nil {
 			return zero, err
 		}
-		if name != extras[i].name {
-			return zero, fmt.Errorf("sim: restore: extra %d named %q in the snapshot, %q on the engine — attach extras in the same order", i, name, extras[i].name)
+		if string(saved) != name {
+			return zero, fmt.Errorf("sim: restore: extra %d named %q in the snapshot, %q on the engine — attach extras in the same order", i, saved, name)
 		}
-		section := dec.Bytes32()
+		sub = StateDecoder{buf: dec.lenPrefixed(tagBytes, "bytes")}
 		if err := dec.Err(); err != nil {
 			return zero, err
 		}
-		sub := NewStateDecoder(section)
-		extras[i].s.LoadState(sub)
+		extras[i].s.LoadState(&sub)
 		if err := sub.Err(); err != nil {
 			return zero, fmt.Errorf("sim: restore: extra %q (%T): %w", name, extras[i].s, err)
 		}

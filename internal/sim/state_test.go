@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // stateComp is a small stateful ticker for checkpoint tests: an RNG, a
@@ -328,20 +330,257 @@ func TestRestoreExtraMismatch(t *testing.T) {
 // TestCheckpointUnserializableCallback: a FuncTicker whose Save hook
 // refuses (the stand-in for any component holding an external callback)
 // must fail the checkpoint loudly, not write a partial snapshot.
+// Once the callback can be saved, the same engine's next checkpoint
+// equals a fresh engine's: the failure leaves nothing behind in the
+// engine's reused codec buffer.
 func TestCheckpointUnserializableCallback(t *testing.T) {
-	eng := NewClock()
-	eng.Register(&FuncTicker{
-		OnTick: func(Slot, Phase) {},
-		Save: func(enc *StateEncoder) {
-			enc.Failf("external callback cannot be serialized")
-		},
-		Load: func(dec *StateDecoder) {},
-	})
-	eng.Run(5)
+	build := func(refuse *bool) *Clock {
+		eng := NewClock()
+		eng.Register(newStateComp(8))
+		eng.Register(&FuncTicker{
+			OnTick: func(Slot, Phase) {},
+			Save: func(enc *StateEncoder) {
+				enc.U64(0xfeed)
+				if *refuse {
+					enc.Failf("external callback cannot be serialized")
+				}
+			},
+			Load: func(dec *StateDecoder) { dec.U64() },
+		})
+		eng.Run(5)
+		return eng
+	}
+	refuse := true
+	eng := build(&refuse)
 	var buf bytes.Buffer
 	err := eng.Checkpoint(&buf)
 	if err == nil || !strings.Contains(err.Error(), "external callback") {
 		t.Fatalf("unserializable state not refused: %v", err)
+	}
+	if !strings.Contains(err.Error(), "component 1") {
+		t.Fatalf("failure does not name the component: %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("a refused checkpoint wrote %d bytes", buf.Len())
+	}
+
+	refuse = false
+	if err := eng.Checkpoint(&buf); err != nil {
+		t.Fatalf("checkpoint after the refusal: %v", err)
+	}
+	var fresh bytes.Buffer
+	if err := build(&refuse).Checkpoint(&fresh); err != nil {
+		t.Fatalf("fresh checkpoint: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), fresh.Bytes()) {
+		t.Fatal("checkpoint after a refused one differs from a fresh engine's")
+	}
+}
+
+// sizedComp is a Stater whose snapshot size its owner sets: vals is
+// saved whole, and LoadState refills it in place.
+type sizedComp struct{ vals []uint64 }
+
+func (c *sizedComp) Tick(Slot, Phase) {}
+
+func (c *sizedComp) SaveState(enc *StateEncoder) {
+	enc.Int(len(c.vals))
+	for _, v := range c.vals {
+		enc.U64(v)
+	}
+}
+
+func (c *sizedComp) LoadState(dec *StateDecoder) {
+	n := dec.Count()
+	if cap(c.vals) < n {
+		c.vals = make([]uint64, n)
+	}
+	c.vals = c.vals[:n]
+	for i := range c.vals {
+		c.vals[i] = dec.U64()
+	}
+}
+
+// buildSizedEngine registers a stateComp and a sizedComp of n values and
+// attaches a trace, so a snapshot holds both component and extra
+// sections.
+func buildSizedEngine(n int) (*Clock, *sizedComp) {
+	eng := NewClock()
+	eng.Register(newStateComp(3))
+	c := &sizedComp{vals: make([]uint64, n)}
+	for i := range c.vals {
+		c.vals[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	eng.Register(c)
+	tr := NewTrace()
+	tr.Add(1, "t", "e")
+	eng.AttachState("trace", tr)
+	eng.Run(10)
+	return eng, c
+}
+
+// TestSectionFramedInPlace: a section framed in place on the parent
+// encoder is byte-identical to Bytes32 of the same section encoded on
+// an encoder of its own — the v2 framing the checkpoint codec relies on.
+func TestSectionFramedInPlace(t *testing.T) {
+	for _, n := range []int{0, 1, 300} {
+		c := &sizedComp{vals: make([]uint64, n)}
+		for i := range c.vals {
+			c.vals[i] = uint64(i + n)
+		}
+		inPlace := NewStateEncoder()
+		inPlace.String("before")
+		at := inPlace.beginSection()
+		c.SaveState(inPlace)
+		inPlace.endSection(at)
+		inPlace.Bool(true)
+
+		apart := NewStateEncoder()
+		apart.String("before")
+		sub := NewStateEncoder()
+		c.SaveState(sub)
+		apart.Bytes32(sub.Bytes())
+		apart.Bool(true)
+
+		if err := inPlace.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(inPlace.Bytes(), apart.Bytes()) {
+			t.Fatalf("n=%d: in-place section differs from Bytes32 of the same section", n)
+		}
+	}
+}
+
+// TestCheckpointBufferReuse: one engine checkpoints a large state and
+// then a smaller one; each equals a fresh engine's bytes, so nothing of
+// the larger snapshot leaks into the smaller through the reused buffer.
+// Restoring both into one engine reuses its buffer the same way.
+func TestCheckpointBufferReuse(t *testing.T) {
+	eng, c := buildSizedEngine(5000)
+	snap := func(e *Clock) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := e.Checkpoint(&buf); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+		return buf.Bytes()
+	}
+	large := snap(eng)
+	if fresh, _ := buildSizedEngine(5000); !bytes.Equal(large, snap(fresh)) {
+		t.Fatal("large checkpoint differs from a fresh engine's")
+	}
+	c.vals = c.vals[:7]
+	small := snap(eng)
+	if fresh, _ := buildSizedEngine(7); !bytes.Equal(small, snap(fresh)) {
+		t.Fatal("smaller checkpoint after a larger one differs from a fresh engine's")
+	}
+
+	dst, _ := buildSizedEngine(0)
+	for _, want := range [][]byte{large, small} {
+		if err := dst.Restore(bytes.NewReader(want)); err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		if got := snap(dst); !bytes.Equal(got, want) {
+			t.Fatalf("re-checkpoint of a %d-byte restore differs", len(want))
+		}
+	}
+}
+
+// TestRestoreUnsizedReader: a reader that does not report its size —
+// here one byte per Read — restores the same state as a bytes.Reader,
+// and truncation and corruption are still rejected through it.
+func TestRestoreUnsizedReader(t *testing.T) {
+	eng, a, b := buildStateEngine(21)
+	eng.Run(60)
+	var buf bytes.Buffer
+	if err := eng.Checkpoint(&buf); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	raw := buf.Bytes()
+
+	dst, a2, b2 := buildStateEngine(0)
+	if err := dst.Restore(iotest.OneByteReader(bytes.NewReader(raw))); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if dst.Now() != eng.Now() || a2.fingerprint() != a.fingerprint() || b2.fingerprint() != b.fingerprint() {
+		t.Fatal("state restored through a one-byte reader diverged")
+	}
+	var again bytes.Buffer
+	if err := dst.Checkpoint(&again); err != nil {
+		t.Fatalf("re-checkpoint: %v", err)
+	}
+	if !bytes.Equal(again.Bytes(), raw) {
+		t.Fatal("re-checkpoint after a one-byte-reader restore differs")
+	}
+
+	for _, n := range []int{0, len(checkpointMagic) + 4, len(raw) / 2, len(raw) - 1} {
+		e, _, _ := buildStateEngine(21)
+		if err := e.Restore(iotest.OneByteReader(bytes.NewReader(raw[:n]))); err == nil {
+			t.Fatalf("truncation to %d bytes accepted", n)
+		}
+	}
+	for off := 0; off < len(raw); off += len(raw)/16 + 1 {
+		mut := append([]byte(nil), raw...)
+		mut[off] ^= 0x41
+		e, _, _ := buildStateEngine(21)
+		if err := e.Restore(iotest.OneByteReader(bytes.NewReader(mut))); err == nil {
+			t.Fatalf("corruption at byte %d accepted", off)
+		}
+	}
+}
+
+// checkpointAllocs and restoreAllocs are the allocations one Checkpoint
+// and one Restore make on a warmed engine whatever the snapshot's size:
+// none for the write, and for the read the decoder reused across
+// sections.
+const (
+	checkpointAllocs = 0
+	restoreAllocs    = 1
+)
+
+// TestCheckpointAllocFree guards the copy-free write path: once the
+// engine's codec buffer has grown to the snapshot, a checkpoint
+// allocates a fixed, small number of times, however large the state.
+func TestCheckpointAllocFree(t *testing.T) {
+	for _, n := range []int{10, 20000} {
+		eng, _ := buildSizedEngine(n)
+		if err := eng.Checkpoint(io.Discard); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+		avg := testing.AllocsPerRun(20, func() {
+			if err := eng.Checkpoint(io.Discard); err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+		})
+		if avg != checkpointAllocs {
+			t.Errorf("%d values: Checkpoint allocates %v times, want %d", n, avg, checkpointAllocs)
+		}
+	}
+}
+
+// TestRestoreAllocFree guards the view-based read path: a warmed engine
+// restores into its codec buffer and decodes every section in place,
+// so the allocation count does not grow with the snapshot.
+func TestRestoreAllocFree(t *testing.T) {
+	for _, n := range []int{10, 20000} {
+		eng, _ := buildSizedEngine(n)
+		var buf bytes.Buffer
+		if err := eng.Checkpoint(&buf); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+		r := bytes.NewReader(buf.Bytes())
+		if err := eng.Restore(r); err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		avg := testing.AllocsPerRun(20, func() {
+			r.Reset(buf.Bytes())
+			if err := eng.Restore(r); err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+		})
+		if avg != restoreAllocs {
+			t.Errorf("%d values: Restore allocates %v times, want %d", n, avg, restoreAllocs)
+		}
 	}
 }
 
