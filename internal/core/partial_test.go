@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -178,5 +179,35 @@ func TestPartialEfficiencyBeforeCompletion(t *testing.T) {
 	p := NewPartial(fig314Config(0.5, 0.01, 8))
 	if p.Efficiency() != 1 || p.MeanLatency() != 0 {
 		t.Fatal("pre-run statistics wrong")
+	}
+}
+
+// TestPartialRestoreRejectsForeignTargetModule restores a 16-module
+// Partial's checkpoint into an 8-module one of the same processor count.
+// Every array length matches, so only the target-module range check can
+// tell the shapes apart; without it the restore succeeds and the next
+// Run indexes a port outside the processor's contention set or panics.
+func TestPartialRestoreRejectsForeignTargetModule(t *testing.T) {
+	wide := PartialConfig{Processors: 64, Modules: 16, BlockWords: 8, BankCycle: 2,
+		Locality: 0.2, AccessRate: 0.05, RetryMean: 4, Seed: 3}
+	narrow := fig314Config(0.2, 0.05, 3)
+	src := runPartial(t, wide, 2000)
+	high := false
+	for _, m := range src.targetMod {
+		high = high || int(m) >= narrow.Modules
+	}
+	if !high {
+		t.Fatal("no processor targets a module the 8-module system lacks; the restore checks nothing")
+	}
+	clk := sim.NewClock()
+	clk.Register(src)
+	var buf bytes.Buffer
+	if err := clk.Checkpoint(&buf); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	dst := sim.NewClock()
+	dst.Register(NewPartial(narrow))
+	if err := dst.Restore(&buf); err == nil {
+		t.Fatal("restore of a 16-module snapshot into an 8-module system succeeded")
 	}
 }

@@ -314,8 +314,15 @@ func (p *Partial) LoadState(dec *sim.StateDecoder) {
 		dec.Failf("core: snapshot has %d target modules, system has %d", n, len(p.targetMod))
 		return
 	}
+	// A module outside [0, Modules) would index another contention set's
+	// port (breaking EpochSafe's shard closure) or run off the array.
 	for i := range p.targetMod {
-		p.targetMod[p.idx(i)] = int32(dec.Int())
+		mod := dec.Int()
+		if mod < 0 || mod >= p.cfg.Modules {
+			dec.Failf("core: processor %d targets module %d, system has %d modules", i, mod, p.cfg.Modules)
+			return
+		}
+		p.targetMod[p.idx(i)] = int32(mod)
 	}
 	p.Completed = dec.I64()
 	p.Retries = dec.I64()

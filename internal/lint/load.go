@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -152,6 +153,14 @@ func (l *Loader) LoadDir(dir string) (*Target, error) {
 			if data, err := os.ReadFile(full); err == nil && strings.Contains(string(data), "AllocsPerRun") {
 				hasAllocGuard = true
 			}
+			continue
+		}
+		// Honour build constraints and _GOOS/_GOARCH suffixes, as the
+		// compiler does: a package may split one function across files
+		// built for different platforms.
+		if ok, err := build.Default.MatchFile(abs, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, full, nil, parser.ParseComments)

@@ -3,6 +3,7 @@ package lint
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -169,5 +170,28 @@ func TestImportPathFor(t *testing.T) {
 	}
 	if got := loader.importPathFor(string(filepath.Separator)); !strings.HasPrefix(got, "lintsrc/") {
 		t.Errorf("importPathFor(outside) = %q, want a lintsrc/ synthetic path", got)
+	}
+}
+
+// TestLoadDirBuildConstraints loads a package that declares one
+// identifier twice, once per platform: only the files the compiler would
+// build for this host may reach the type checker.
+func TestLoadDirBuildConstraints(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod":                        "module plat\n",
+		"p/p.go":                        "package p\n\nvar Y = X\n",
+		"p/x_" + runtime.GOARCH + ".go": "package p\n\nconst X = 1\n",
+		"p/x_other.go":                  "//go:build ignore\n\npackage p\n\nconst X = 2\n",
+	})
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg, err := l.LoadDir(filepath.Join(root, "p"))
+	if err != nil {
+		t.Fatalf("LoadDir on a platform-split package: %v", err)
+	}
+	if len(tg.Files) != 2 {
+		t.Fatalf("loaded %d files, want p.go and the %s file", len(tg.Files), runtime.GOARCH)
 	}
 }

@@ -76,14 +76,15 @@ const geometricCap = 1 << 20
 // Bernoulli, p >= 1 and p <= 0 draw nothing (the first returns 1, the
 // second never succeeds); a NaN p draws geometricCap times and fails.
 //
-// Two facts make the fast path exact. Float64() < p holds exactly when
+// Two facts make the fast paths exact. Float64() < p holds exactly when
 // the raw draw is below ceil(p·2⁵³)·2¹¹: Float64 is k/2⁵³ for the top 53
 // bits k, p·2⁵³ is exact (a power-of-two scale), and an integer k is
 // below a real y exactly when it is below ceil(y). And draw k after state
-// s is mix(s + k·gamma), independent of the draws before it, so four
-// draws are mixed at once and the first success among them, in order,
-// ends the run. geometricCap is a multiple of four, so whole blocks reach
-// the cap exactly.
+// s is mix(s + k·gamma), independent of the draws before it, so draws
+// are mixed several at a time and the first success among them, in
+// order, ends the run. On a CPU with AVX-512 the search runs 32 draws per
+// step (searchAVX512); elsewhere it runs four. Both return the same value
+// and leave the same state.
 func (r *RNG) Geometric(p float64) int {
 	if p >= 1 {
 		return 1
@@ -91,7 +92,21 @@ func (r *RNG) Geometric(p float64) int {
 	if p <= 0 {
 		return geometricCap + 1
 	}
-	lim := bernoulliLimit(p)
+	return r.geometric(bernoulliLimit(p), haveAVX512)
+}
+
+// kernelBlocks is the number of 32-draw steps that cover draws 5 through
+// geometricCap; the last step runs four draws past the cap.
+const kernelBlocks = (geometricCap - 4 + 31) / 32
+
+// geometric searches for the first draw below lim, four draws per block;
+// geometricCap is a multiple of four, so whole blocks reach it exactly.
+// With kernel set (the CPU runs AVX-512) only the first block runs here
+// and searchAVX512 takes draws 5 onward: a kernel step costs more than a
+// block when p is high, and most such runs end within four draws. A
+// success the kernel finds past the cap is a miss, which leaves the
+// state after geometricCap draws, as the blocks do.
+func (r *RNG) geometric(lim uint64, kernel bool) int {
 	s := r.state
 	for t := 1; t <= geometricCap; t += 4 {
 		s1 := s + gamma
@@ -114,6 +129,17 @@ func (r *RNG) Geometric(p float64) int {
 			return t + 3
 		}
 		s = s4
+		if kernel {
+			k, ok := searchAVX512(s, lim, kernelBlocks)
+			if k > geometricCap-4 {
+				k, ok = geometricCap-4, false
+			}
+			r.state = s + uint64(k)*gamma
+			if !ok {
+				return geometricCap + 1
+			}
+			return 4 + k
+		}
 	}
 	r.state = s
 	return geometricCap + 1
