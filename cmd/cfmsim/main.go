@@ -147,6 +147,27 @@ observability flags (efficiency, treesat, alloc, observe):
   -spans-limit N    flight recorder ring capacity in events`)
 }
 
+// usageCheck exits 2, the code of every usage error, with a one-line
+// message naming the first non-nil error. Each command checks its flag
+// values before any output, so an out-of-range one never reaches a
+// simulator's constructor panic.
+func usageCheck(errs ...error) {
+	for _, err := range errs {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "cfmsim:", err)
+			os.Exit(2)
+		}
+	}
+}
+
+// atLeast returns an error naming flag -name when v < least.
+func atLeast(name string, v, least int64) error {
+	if v < least {
+		return fmt.Errorf("-%s %d: must be at least %d", name, v, least)
+	}
+	return nil
+}
+
 func cmdATSpace(args []string) {
 	fs := flag.NewFlagSet("atspace", flag.ExitOnError)
 	n := fs.Int("n", 4, "processors")
@@ -154,6 +175,7 @@ func cmdATSpace(args []string) {
 	fs.Parse(args)
 
 	cfg := cfm.Config{Processors: *n, BankCycle: *c, WordWidth: 32}
+	usageCheck(cfg.Validate())
 	at := cfm.NewATSpace(cfg)
 	fmt.Printf("Table 3.1 — address path connections (%v)\n\n", cfg)
 	tb := &stats.Table{Header: []string{"slot"}}
@@ -269,6 +291,10 @@ func cmdTiming(args []string) {
 	fs.Parse(args)
 
 	cfg := cfm.Config{Processors: *n, BankCycle: *c, WordWidth: 32}
+	usageCheck(cfg.Validate())
+	if *p < 0 || *p >= *n {
+		usageCheck(fmt.Errorf("-p %d: processor out of range [0,%d)", *p, *n))
+	}
 	fmt.Printf("Fig 3.6 — timing diagram of a block read (%v)\n\n", cfg)
 	fmt.Print(cfm.NewATSpace(cfg).RenderTiming(cfm.Slot(*slot), *p))
 }
@@ -281,6 +307,7 @@ func cmdEfficiency(args []string) {
 	slots := fs.Int64("slots", 300000, "simulation slots per point")
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
+	usageCheck(atLeast("steps", int64(*steps), 1), atLeast("slots", *slots, 1))
 	openObservatory(obs, false)
 
 	var series []cfm.Series
@@ -457,15 +484,16 @@ func cmdTreeSat(args []string) {
 	slots := fs.Int64("slots", 30000, "simulation slots")
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
+	netCfg := cfm.BufferedConfig{Terminals: *n, QueueCap: 4, ServiceTime: 2, Rate: *rate, Seed: 7}
+	usageCheck(netCfg.Validate(), atLeast("slots", *slots, 1))
 	openObservatory(obs, false)
 
 	fmt.Printf("Fig 2.1 — tree saturation from a hot spot (%dx%d buffered omega, rate %.2f)\n\n", *n, *n, *rate)
 	tb := &stats.Table{Header: []string{"hot-spot fraction", "bg latency", "hot latency", "full queues/col", "backlog"}}
 	for _, hot := range []float64{0, 0.05, 0.1, 0.2, 0.3, 0.4} {
-		b := cfm.NewBufferedOmega(cfm.BufferedConfig{
-			Terminals: *n, QueueCap: 4, ServiceTime: 2,
-			Rate: *rate, HotFraction: hot, Seed: 7,
-		})
+		c := netCfg
+		c.HotFraction = hot
+		b := cfm.NewBufferedOmega(c)
 		b.Instrument(obs.Reg)
 		b.RecordFlight(obs.Flight)
 		clk := obs.NewEngine()
@@ -563,8 +591,10 @@ func cmdLockTransfer(args []string) {
 	fs := flag.NewFlagSet("locktransfer", flag.ExitOnError)
 	n := fs.Int("n", 4, "processors")
 	fs.Parse(args)
+	cacheCfg := cfm.CacheConfig{Processors: *n, Lines: 4, RetryDelay: 1}
+	usageCheck(cacheCfg.Validate())
 
-	proto := cfm.NewCacheProtocol(cfm.CacheConfig{Processors: *n, Lines: 4, RetryDelay: 1}, nil)
+	proto := cfm.NewCacheProtocol(cacheCfg, nil)
 	lock := cfm.NewLocker(proto, 0)
 	clk := cfm.NewClock()
 	clk.Register(lock)
@@ -658,6 +688,7 @@ func cmdAlloc(args []string) {
 	slots := fs.Int64("slots", 100000, "simulation slots")
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
+	usageCheck(atLeast("slots", *slots, 1))
 	openObservatory(obs, false)
 
 	cfg := core.PartialConfig{
@@ -705,6 +736,7 @@ func cmdSharing(args []string) {
 	rate := fs.Float64("rate", 0.02, "per-processor access rate")
 	slots := fs.Int64("slots", 100000, "simulation slots")
 	fs.Parse(args)
+	usageCheck(atLeast("slots", *slots, 1))
 
 	fmt.Println("§7.2 — slot sharing: processors per AT-space division")
 	fmt.Printf("8 divisions, 16-word blocks, c=2, r=%.3f\n\n", *rate)
@@ -757,19 +789,23 @@ func cmdObserve(args []string) {
 	slots := fs.Int64("slots", 24000, "simulation slots")
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
-	openObservatory(obs, true) // observe always needs the registry
-
-	conv := cfm.NewConventional(cfm.ConventionalConfig{
+	convCfg := cfm.ConventionalConfig{
 		Processors: *n, Modules: *modules, BlockTime: 17,
 		AccessRate: *rate, RetryMean: 8, Seed: 11,
-	})
-	conv.Instrument(obs.Reg)
-	net := cfm.NewBufferedOmega(cfm.BufferedConfig{
+	}
+	netCfg := cfm.BufferedConfig{
 		Terminals: *n, QueueCap: 4, ServiceTime: 2,
 		Rate: *rate, HotFraction: *hot, Seed: 7,
-	})
+	}
+	cacheCfg := cfm.CacheConfig{Processors: *n, Lines: 8, RetryDelay: 1}
+	usageCheck(convCfg.Validate(), netCfg.Validate(), cacheCfg.Validate(), atLeast("slots", *slots, 1))
+	openObservatory(obs, true) // observe always needs the registry
+
+	conv := cfm.NewConventional(convCfg)
+	conv.Instrument(obs.Reg)
+	net := cfm.NewBufferedOmega(netCfg)
 	net.Instrument(obs.Reg)
-	proto := cfm.NewCacheProtocol(cfm.CacheConfig{Processors: *n, Lines: 8, RetryDelay: 1}, obs.Trace)
+	proto := cfm.NewCacheProtocol(cacheCfg, obs.Trace)
 	proto.Instrument(obs.Reg)
 	// One recorder serves one subsystem: span IDs compose (actor, slot),
 	// so recording several components into one ring would collide IDs.
@@ -878,6 +914,7 @@ func cmdWaterfall(args []string) {
 	id := fs.String("id", "", "render one specific span (up to 16 hex digits) instead of the longest")
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
+	usageCheck(atLeast("slots", *slots, 1))
 	openObservatory(obs, false)
 
 	// The command needs a recorder whether or not -spans-out asked for
@@ -982,6 +1019,7 @@ func cmdBisect(args []string) {
 	inject := fs.Int64("inject", -1, "inject a synthetic divergence into engine B at this slot (-1: none)")
 	window := fs.Int64("window", 4, "flight window radius (slots) dumped around the divergence")
 	fs.Parse(args)
+	usageCheck(atLeast("slots", *slots, 1))
 
 	build := func(eng cfm.Engine) *cfm.FlightRecorder {
 		cs := cfm.NewConventional(cfm.ConventionalConfig{

@@ -1,0 +1,82 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// asMainEnv makes the test binary run cfmsim's main with its own
+// arguments instead of the tests, so a test can observe the exit code
+// and output of a real cfmsim process.
+const asMainEnv = "CFMSIM_TEST_AS_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runCfmsim runs cfmsim with args in a child process and returns its
+// exit code, stdout and stderr.
+func runCfmsim(t *testing.T, args ...string) (int, string, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), asMainEnv+"=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, stdout.String(), stderr.String()
+	case errors.As(err, &exit):
+		return exit.ExitCode(), stdout.String(), stderr.String()
+	}
+	t.Fatalf("cfmsim %v: %v", args, err)
+	return 0, "", ""
+}
+
+// TestOutOfRangeFlagsAreUsageErrors: a flag value no simulator can take
+// exits 2 with one "cfmsim:" line and no output, instead of a Go panic
+// trace or an all-zero table.
+func TestOutOfRangeFlagsAreUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"treesat", "-n", "3"},
+		{"treesat", "-n", "0"},
+		{"treesat", "-slots", "-1"},
+		{"atspace", "-n", "0"},
+		{"timing", "-p", "9"},
+		{"efficiency", "-slots", "-5"},
+		{"efficiency", "-steps", "0"},
+		{"observe", "-n", "3"},
+		{"locktransfer", "-n", "1"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			code, stdout, stderr := runCfmsim(t, args...)
+			if code != 2 || stdout != "" || strings.Contains(stderr, "goroutine ") ||
+				!strings.HasPrefix(stderr, "cfmsim: ") || strings.Count(stderr, "\n") != 1 {
+				t.Fatalf("exit %d, stdout %q, stderr:\n%s\nwant exit 2, no stdout and one \"cfmsim: \" line",
+					code, stdout, stderr)
+			}
+		})
+	}
+}
+
+// TestInRangeFlagsRun is the control: the same commands with usable
+// values run and print.
+func TestInRangeFlagsRun(t *testing.T) {
+	for _, args := range [][]string{
+		{"atspace", "-n", "2"},
+		{"timing", "-p", "3"},
+	} {
+		if code, stdout, stderr := runCfmsim(t, args...); code != 0 || stdout == "" {
+			t.Errorf("cfmsim %v: exit %d, stdout %q, stderr %q", args, code, stdout, stderr)
+		}
+	}
+}

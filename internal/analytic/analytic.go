@@ -138,8 +138,12 @@ type Series struct {
 }
 
 // RateSweep returns steps+1 rates spanning [0, max], the x-axis of
-// Figs. 3.13–3.15 (max = 0.06 in the dissertation).
+// Figs. 3.13–3.15 (max = 0.06 in the dissertation). It panics when steps
+// < 1, which has no spacing (0/0 would make every rate NaN).
 func RateSweep(max float64, steps int) []float64 {
+	if steps < 1 {
+		panic(fmt.Sprintf("analytic: rate sweep needs >= 1 step, got %d", steps))
+	}
 	out := make([]float64, steps+1)
 	for i := range out {
 		out[i] = max * float64(i) / float64(steps)

@@ -186,6 +186,19 @@ func TestRateSweep(t *testing.T) {
 	}
 }
 
+func TestRateSweepPanicsWithoutSteps(t *testing.T) {
+	for _, steps := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RateSweep(0.06, %d) did not panic", steps)
+				}
+			}()
+			RateSweep(0.06, steps)
+		}()
+	}
+}
+
 func TestFig313Series(t *testing.T) {
 	ss := Fig313(12)
 	if len(ss) != 2 {

@@ -464,37 +464,46 @@ func TestEarliestWinsWriteWriteAborts(t *testing.T) {
 }
 
 // TestSwapSwapConflictRestarts (Fig. 4.6a/b): overlapping same-block
-// swaps — one restarts, both eventually complete, atomically.
+// swaps — staggered by a slot or issued in the same slot — one restarts,
+// both eventually complete, atomically.
 func TestSwapSwapConflictRestarts(t *testing.T) {
-	h := newHarness(8, EarliestWins)
-	h.tr.PokeBlock(0, uniform(8, 50))
-	var done []memory.Word
-	mkSwap := func(p int, v memory.Word) func(sim.Slot) {
-		return func(tt sim.Slot) {
-			h.tr.StartSwap(tt, p, 0, func(memory.Block) memory.Block {
-				return uniform(8, v)
-			}, func(r Result) {
-				old, _ := isUniform(r.Block)
-				done = append(done, old)
-			})
-		}
-	}
-	h.at(0, mkSwap(0, 51))
-	h.at(1, mkSwap(3, 52))
-	h.clk.Run(300)
-	if len(done) != 2 {
-		t.Fatalf("%d swaps completed, want 2", len(done))
-	}
-	final, u := isUniform(h.tr.PeekBlock(0))
-	if !u {
-		t.Fatalf("torn block %v", h.tr.PeekBlock(0))
-	}
-	// Chain: {done values, final} == {50, 51, 52}.
-	seen := map[memory.Word]bool{final: true, done[0]: true, done[1]: true}
-	for _, v := range []memory.Word{50, 51, 52} {
-		if !seen[v] {
-			t.Fatalf("chain broken: returned %v + final %v", done, final)
-		}
+	for _, tc := range []struct {
+		name   string
+		q      int      // the second swapper (the first is processor 0)
+		qStart sim.Slot // its issue slot (the first issues at slot 0)
+	}{{"staggered", 3, 1}, {"simultaneous", 4, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(8, EarliestWins)
+			h.tr.PokeBlock(0, uniform(8, 50))
+			var done []memory.Word
+			mkSwap := func(p int, v memory.Word) func(sim.Slot) {
+				return func(tt sim.Slot) {
+					h.tr.StartSwap(tt, p, 0, func(memory.Block) memory.Block {
+						return uniform(8, v)
+					}, func(r Result) {
+						old, _ := isUniform(r.Block)
+						done = append(done, old)
+					})
+				}
+			}
+			h.at(0, mkSwap(0, 51))
+			h.at(tc.qStart, mkSwap(tc.q, 52))
+			h.clk.Run(300)
+			if len(done) != 2 {
+				t.Fatalf("%d swaps completed, want 2", len(done))
+			}
+			final, u := isUniform(h.tr.PeekBlock(0))
+			if !u {
+				t.Fatalf("torn block %v", h.tr.PeekBlock(0))
+			}
+			// Chain: {done values, final} == {50, 51, 52}.
+			seen := map[memory.Word]bool{final: true, done[0]: true, done[1]: true}
+			for _, v := range []memory.Word{50, 51, 52} {
+				if !seen[v] {
+					t.Fatalf("chain broken: returned %v + final %v", done, final)
+				}
+			}
+		})
 	}
 }
 

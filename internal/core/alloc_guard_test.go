@@ -11,7 +11,7 @@ import (
 // the conflict-free memory's tick loop: after warm-up, every access
 // record and result buffer comes from the per-processor free lists, so
 // running slots allocates nothing. A regression here silently erodes the
-// throughput the bench suite (BenchmarkEngineSerial) is built on.
+// throughput that cfmbench's workloads (bench/README.md) measure.
 func TestBankTickLoopAllocFree(t *testing.T) {
 	cfg := Config{Processors: 8, BankCycle: 2, WordWidth: 16}
 	m := NewCFMemory(cfg, nil)

@@ -469,6 +469,11 @@ func TestHeadersFig39(t *testing.T) {
 	if conv.Bits() <= sync.Bits() {
 		t.Fatal("synchronous header not smaller than conventional")
 	}
+	// With every column circuit-switched the partial network is the
+	// conventional one, header included.
+	if full := MustPartialOmega(64, 6).RequestHeader(wordsPerBank); full != conv {
+		t.Fatalf("fully circuit-switched header = %+v, want %+v", full, conv)
+	}
 }
 
 func TestHeadersFig310PartialSplit(t *testing.T) {

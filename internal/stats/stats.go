@@ -224,7 +224,8 @@ type PlotSeries struct {
 
 // Plot renders curves as an ASCII chart (rows = Y axis, cols = X axis),
 // in the spirit of Figs. 3.13–3.15. Each series is drawn with a distinct
-// rune; overlapping points show the later series.
+// rune; overlapping points show the later series. Points with a NaN or
+// infinite coordinate have no place on the grid and are skipped.
 func Plot(width, height int, series []PlotSeries) string {
 	if width < 8 || height < 4 {
 		panic(fmt.Sprintf("stats: plot %dx%d too small", width, height))
@@ -234,6 +235,9 @@ func Plot(width, height int, series []PlotSeries) string {
 	first := true
 	for _, s := range series {
 		for i := range s.X {
+			if !finite(s.X[i], s.Y[i]) {
+				continue
+			}
 			if first {
 				xmin, xmax, ymin, ymax = s.X[i], s.X[i], s.Y[i], s.Y[i]
 				first = false
@@ -262,6 +266,9 @@ func Plot(width, height int, series []PlotSeries) string {
 	for si, s := range series {
 		mark := marks[si%len(marks)]
 		for i := range s.X {
+			if !finite(s.X[i], s.Y[i]) {
+				continue
+			}
 			col := 0
 			if !xflat {
 				col = int((s.X[i] - xmin) / (xmax - xmin) * float64(width-1))
@@ -283,6 +290,11 @@ func Plot(width, height int, series []PlotSeries) string {
 		fmt.Fprintf(&b, "          %c %s\n", marks[si%len(marks)], s.Label)
 	}
 	return b.String()
+}
+
+// finite reports whether neither x nor y is NaN or infinite.
+func finite(x, y float64) bool {
+	return !math.IsNaN(x) && !math.IsInf(x, 0) && !math.IsNaN(y) && !math.IsInf(y, 0)
 }
 
 // heatRamp maps intensity 0..1 to a cell rune, dimmest to brightest.

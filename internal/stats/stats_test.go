@@ -163,6 +163,28 @@ func TestPlotFlatLine(t *testing.T) {
 	}
 }
 
+func TestPlotSkipsNonFinitePoints(t *testing.T) {
+	// Regression: a NaN or infinite coordinate used to become an int grid
+	// index and panic with an index out of range.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		s    PlotSeries
+		want string // a line the chart must contain
+	}{
+		{"only NaN", PlotSeries{Label: "r", X: []float64{0}, Y: []float64{nan}}, "(no data)"},
+		{"NaN Y", PlotSeries{Label: "r", X: []float64{0, 1, 2}, Y: []float64{0, nan, 2}}, "  2.0000 ┤"},
+		{"+Inf X", PlotSeries{Label: "r", X: []float64{0, inf, 1}, Y: []float64{0, 1, 2}}, "1.0000"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := Plot(20, 5, []PlotSeries{tc.s})
+			if !strings.Contains(out, tc.want) || strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
+				t.Fatalf("plot lacks %q or shows a non-finite axis:\n%s", tc.want, out)
+			}
+		})
+	}
+}
+
 func TestHistogramNegativeFloorBinning(t *testing.T) {
 	// Regression: v/BinWidth truncates toward zero, so −1 and +1 used to
 	// share bin 0 and negative low edges were off by one bin.
