@@ -13,6 +13,7 @@ package cfm_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/fnv"
 	"os"
@@ -22,10 +23,10 @@ import (
 	"cfm"
 )
 
-// The shared -update-golden flag (declared in metrics_equiv_test.go)
+// The shared -update-golden flag (declared in metrics_golden_test.go)
 // also regenerates these files.
 
-// goldenSnapshots are the committed snapshots, each a resumeCases entry
+// goldenSnapshots are the committed snapshots, each a table entry
 // checkpointed on the serial clock at a fixed cut: the Fig. 3.13
 // conventional baseline, and the Fig. 3.14 partial machine under a §7.2
 // Homes placement with the registry and flight recorder attached. The
@@ -39,23 +40,10 @@ var goldenSnapshots = []struct {
 	{"PartialHomes", "testdata/checkpoint_golden_partial.cfm", 100},
 }
 
-// resumeCaseNamed returns the resumeCases entry with the given name.
-func resumeCaseNamed(t *testing.T, name string) resumeCase {
-	t.Helper()
-	for _, rc := range resumeCases() {
-		if rc.name == name {
-			return rc
-		}
-	}
-	t.Fatalf("scenario %s missing from resumeCases", name)
-	return resumeCase{}
-}
-
 func TestCheckpointGoldenBytes(t *testing.T) {
 	for _, g := range goldenSnapshots {
 		t.Run(g.scenario, func(t *testing.T) {
-			rc := resumeCaseNamed(t, g.scenario)
-			got := checkpointAt(t, rc, func() cfm.Engine { return cfm.NewClock() }, g.cut)
+			got := checkpointAt(t, scenarioNamed(t, g.scenario), cfm.NewClock, g.cut)
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(g.path), 0o755); err != nil {
 					t.Fatal(err)
@@ -81,13 +69,15 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 func TestCheckpointGoldenRestores(t *testing.T) {
 	for _, g := range goldenSnapshots {
 		t.Run(g.scenario, func(t *testing.T) {
-			rc := resumeCaseNamed(t, g.scenario)
+			sc := scenarioNamed(t, g.scenario)
 			raw, err := os.ReadFile(g.path)
 			if err != nil {
 				t.Fatalf("missing golden snapshot (regenerate with -update-golden): %v", err)
 			}
-			want, _ := resumeOracle(rc)
-			restoreAndFinish(t, rc, func() cfm.Engine { return cfm.NewClock() }, raw, g.cut, want)
+			want, _ := oracleOf(t, sc)
+			if d := mismatch(want, resume(t, sc, cfm.NewClock, raw, g.cut)); d != "" {
+				t.Fatalf("run resumed from %s diverged from the oracle: %s", g.path, d)
+			}
 		})
 	}
 }
@@ -97,7 +87,7 @@ func TestCheckpointGoldenRestores(t *testing.T) {
 // restore must fail with ErrUnsupportedVersion and name both versions.
 func TestCheckpointGoldenVersionBump(t *testing.T) {
 	g := goldenSnapshots[0]
-	rc := resumeCaseNamed(t, g.scenario)
+	sc := scenarioNamed(t, g.scenario)
 	raw, err := os.ReadFile(g.path)
 	if err != nil {
 		t.Fatalf("missing golden snapshot (regenerate with -update-golden): %v", err)
@@ -105,18 +95,54 @@ func TestCheckpointGoldenVersionBump(t *testing.T) {
 	mut := append([]byte(nil), raw...)
 	const magicLen = len("CFMCKPT\n")
 	mut[magicLen] = byte(cfm.CheckpointVersion + 1) // low byte of the LE u32
-	h := fnv.New64a()
-	h.Write(mut[:len(mut)-8])
-	sum := h.Sum64()
-	for i := 0; i < 8; i++ {
-		mut[len(mut)-8+i] = byte(sum >> (8 * i))
-	}
+	reseal(mut)
 	_, err = cfm.Restore(bytes.NewReader(mut), func() cfm.Engine {
 		eng := cfm.NewClock()
-		rc.build(eng)
+		sc.build(eng)
 		return eng
 	})
 	if !errors.Is(err, cfm.ErrUnsupportedVersion) {
 		t.Fatalf("future-version snapshot: got %v, want ErrUnsupportedVersion", err)
 	}
+}
+
+// reseal rewrites the FNV-1a trailer of a snapshot whose body was
+// edited, so the edit reaches the decoders instead of the checksum.
+func reseal(snap []byte) {
+	h := fnv.New64a()
+	h.Write(snap[:len(snap)-8])
+	binary.LittleEndian.PutUint64(snap[len(snap)-8:], h.Sum64())
+}
+
+// FuzzCheckpointCorrupt feeds corrupted snapshots to the real codecs of
+// the table: the input picks an entry and a cut, then flips a bit of,
+// overwrites or truncates the checkpoint body, and reseals the trailer
+// so the mutation reaches LoadState instead of failing the checksum.
+// Restore must return an error or succeed — never panic.
+func FuzzCheckpointCorrupt(f *testing.F) {
+	table := scenarios()
+	for i := 0; i < len(table)-len(randomScenarios()); i++ {
+		f.Add(uint8(i), uint16(37*i), uint8(i), uint32(101*i), byte(i))
+	}
+	f.Fuzz(func(t *testing.T, entry uint8, cut uint16, op uint8, pos uint32, val byte) {
+		sc := table[int(entry)%len(table)]
+		_, total := oracleOf(t, sc)
+		snap := checkpointAt(t, sc, cfm.NewClock, 1+int64(cut)%(total-1))
+		const header = len("CFMCKPT\n") + 4 // magic and version
+		at := header + int(pos%uint32(len(snap)-8-header))
+		switch op % 3 {
+		case 0:
+			snap[at] ^= 1 << (val % 8)
+		case 1:
+			snap[at] = val
+		case 2:
+			snap = append(snap[:at], snap[len(snap)-8:]...)
+		}
+		reseal(snap)
+		cfm.Restore(bytes.NewReader(snap), func() cfm.Engine {
+			eng := cfm.NewClock()
+			sc.build(eng)
+			return eng
+		})
+	})
 }

@@ -160,6 +160,14 @@ func usageCheck(errs ...error) {
 	}
 }
 
+// flagError prefixes err, when non-nil, with flag -name and its value v.
+func flagError(name string, v int, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("-%s %d: %w", name, v, err)
+}
+
 // atLeast returns an error naming flag -name when v < least.
 func atLeast(name string, v, least int64) error {
 	if v < least {
@@ -201,10 +209,15 @@ func cmdTable33(args []string) {
 	block := fs.Int("block", 256, "block size in bits (l)")
 	c := fs.Int("c", 2, "bank cycle")
 	fs.Parse(args)
+	usageCheck(atLeast("block", int64(*block), 1), atLeast("c", int64(*c), 1))
+	rows := cfm.Tradeoff(*block, *c)
+	if len(rows) == 0 {
+		usageCheck(fmt.Errorf("-block %d -c %d: no CFM configuration splits the block across banks", *block, *c))
+	}
 
 	fmt.Printf("Table 3.3 — trade-off in the CFM configurations (l = %d, c = %d)\n\n", *block, *c)
 	tb := &stats.Table{Header: []string{"Memory banks", "Word width", "Memory latency", "Processors"}}
-	for _, row := range cfm.Tradeoff(*block, *c) {
+	for _, row := range rows {
 		tb.AddRow(row.Banks, row.WordWidth, row.Latency, row.Processors)
 	}
 	fmt.Print(tb)
@@ -217,10 +230,7 @@ func cmdTable34(args []string) {
 	fs.Parse(args)
 
 	so, err := cfm.NewSyncOmega(*n)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cfmsim:", err)
-		os.Exit(1)
-	}
+	usageCheck(flagError("n", *n, err))
 	fmt.Printf("Table 3.4 — states of switches in an %dx%d synchronous omega network\n\n", *n, *n)
 	tb := &stats.Table{Header: []string{"slot"}}
 	for col := 0; col < so.Columns(); col++ {
@@ -255,14 +265,11 @@ func cmdTable35(args []string) {
 	fs := flag.NewFlagSet("table3.5", flag.ExitOnError)
 	banks := fs.Int("banks", 64, "total banks (power of two)")
 	fs.Parse(args)
+	po0, err := cfm.NewPartialOmega(*banks, 0)
+	usageCheck(flagError("banks", *banks, err))
 
 	fmt.Printf("Table 3.5 — configurations of a %d-bank multiprocessor\n\n", *banks)
 	tb := &stats.Table{Header: []string{"Module", "Bank", "Block size", "Circuit-switching", "Clock-driven", "Remark"}}
-	po0, err := cfm.NewPartialOmega(*banks, 0)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cfmsim:", err)
-		os.Exit(1)
-	}
 	cols := po0.ClockColumns()
 	for cc := 0; cc <= cols; cc++ {
 		po, _ := cfm.NewPartialOmega(*banks, cc)
@@ -463,6 +470,7 @@ func simEfficiency(fig string, slots int64, newEngine func() cfm.Engine, obs *ob
 // openObservatory opens the -metrics-out/-trace-out/-http observatory,
 // exiting on a bad flag combination (e.g. an unbindable -http address).
 func openObservatory(obs *obsflags.Observatory, force bool) {
+	usageCheck(obs.Validate())
 	if err := obs.Open(force); err != nil {
 		fmt.Fprintln(os.Stderr, "cfmsim:", err)
 		os.Exit(1)
@@ -513,14 +521,11 @@ func cmdHeaders(args []string) {
 	banks := fs.Int("banks", 8, "banks (power of two)")
 	words := fs.Int("words", 1024, "words per bank (offset space)")
 	fs.Parse(args)
+	po0, err := cfm.NewPartialOmega(*banks, 0)
+	usageCheck(flagError("banks", *banks, err), atLeast("words", int64(*words), 1))
 
 	fmt.Printf("Figs 3.9/3.10 — message headers of memory access requests (%d banks, %d offsets)\n\n", *banks, *words)
 	tb := &stats.Table{Header: []string{"network", "module bits", "offset bits", "total"}}
-	po0, err := cfm.NewPartialOmega(*banks, 0)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cfmsim:", err)
-		os.Exit(1)
-	}
 	for cc := 0; cc <= po0.ClockColumns(); cc++ {
 		po, _ := cfm.NewPartialOmega(*banks, cc)
 		h := po.RequestHeader(*words)

@@ -56,6 +56,16 @@ func TestOutOfRangeFlagsAreUsageErrors(t *testing.T) {
 		{"efficiency", "-steps", "0"},
 		{"observe", "-n", "3"},
 		{"locktransfer", "-n", "1"},
+		{"headers", "-words", "0"},
+		{"headers", "-banks", "3"},
+		{"table3.3", "-block", "0"},
+		{"table3.3", "-c", "0"},
+		{"table3.4", "-n", "3"},
+		{"table3.5", "-banks", "0"},
+		{"table3.5", "-banks", "3"},
+		{"observe", "-sample", "0"},
+		{"observe", "-sample", "-5"},
+		{"treesat", "-parallel", "-epoch-batch", "-1"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			code, stdout, stderr := runCfmsim(t, args...)
@@ -74,6 +84,10 @@ func TestInRangeFlagsRun(t *testing.T) {
 	for _, args := range [][]string{
 		{"atspace", "-n", "2"},
 		{"timing", "-p", "3"},
+		{"table3.3", "-block", "64", "-c", "4"},
+		{"table3.4", "-n", "4"},
+		{"table3.5", "-banks", "16"},
+		{"headers", "-banks", "16", "-words", "1"},
 	} {
 		if code, stdout, stderr := runCfmsim(t, args...); code != 0 || stdout == "" {
 			t.Errorf("cfmsim %v: exit %d, stdout %q, stderr %q", args, code, stdout, stderr)

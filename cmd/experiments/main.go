@@ -4,9 +4,9 @@
 //
 // With -parallel, every simulation runs on a worker pool instead of one
 // worker; results are identical either way (the engine equivalence
-// guarantee, proven by engine_equiv_test.go). The engine flags
-// (-parallel, -workers, -skip-ahead, -epoch-batch) are the shared ones
-// of internal/obsflags.
+// guarantee, proven by the determinism matrix, matrix_test.go). The
+// engine flags (-parallel, -workers, -skip-ahead, -epoch-batch) are the
+// shared ones of internal/obsflags.
 //
 // The observability flags -metrics-out, -trace-out, -http, and -sample
 // instrument the simulation-heavy experiments (Figs 2.1, 3.13–3.15 and

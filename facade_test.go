@@ -229,3 +229,21 @@ func TestFacadeFrontend(t *testing.T) {
 		t.Fatal("execution not recorded")
 	}
 }
+
+// TestEquivEngineFacade pins the NewEngine dispatcher: parallel=false
+// must return the one-worker engine whatever the worker count, and
+// parallel=true the engine with the requested workers.
+func TestEquivEngineFacade(t *testing.T) {
+	for _, tc := range []struct {
+		parallel      bool
+		workers, want int
+	}{{false, 0, 1}, {false, 4, 1}, {true, 2, 2}, {true, cfm.WorkersAuto, cfm.WorkersAuto}} {
+		pc, ok := cfm.NewEngine(tc.parallel, tc.workers).(*cfm.ParallelClock)
+		if !ok {
+			t.Fatalf("NewEngine(%v, %d) did not return a *ParallelClock", tc.parallel, tc.workers)
+		}
+		if pc.Workers() != tc.want {
+			t.Errorf("NewEngine(%v, %d).Workers() = %d, want %d", tc.parallel, tc.workers, pc.Workers(), tc.want)
+		}
+	}
+}

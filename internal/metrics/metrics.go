@@ -16,7 +16,7 @@
 //     ascending shard order. Counter/Gauge use atomics so that even a
 //     misplaced concurrent Add is a commutative, race-free operation
 //     whose final snapshot is still identical at any worker count; the
-//     differential suite (engine_equiv_test.go, metrics_equiv_test.go)
+//     determinism matrix (matrix_test.go at the repository root)
 //     verifies snapshots bit for bit against the serial Clock.
 //
 // Metric names may embed Prometheus labels directly, e.g.

@@ -165,11 +165,27 @@ func (ob *Observatory) Wanted() bool {
 	return ob.MetricsOut != "" || ob.TraceOut != "" || ob.HTTPAddr != "" || ob.SpansOut != ""
 }
 
-// Open rejects contradictory engine flags, then builds the registry and
-// sampler (and the trace and live endpoint when requested). With
-// force=false and no observability flag set it builds nothing:
-// everything stays nil and instrumentation remains free.
+// Validate reports an out-of-range flag value: a -sample period below
+// one slot, or a negative -epoch-batch. (The library clamps both
+// silently; at the flag boundary they are mistakes.)
+func (ob *Observatory) Validate() error {
+	if ob.Every < 1 {
+		return fmt.Errorf("-sample %d: must be at least 1", ob.Every)
+	}
+	if ob.EpochBatch < 0 {
+		return fmt.Errorf("-epoch-batch %d: must be 0 (auto) or at least 1", ob.EpochBatch)
+	}
+	return nil
+}
+
+// Open rejects out-of-range and contradictory flags, then builds the
+// registry and sampler (and the trace and live endpoint when
+// requested). With force=false and no observability flag set it builds
+// nothing: everything stays nil and instrumentation remains free.
 func (ob *Observatory) Open(force bool) error {
+	if err := ob.Validate(); err != nil {
+		return err
+	}
 	if !ob.Parallel && (ob.Workers != sim.WorkersAuto || ob.EpochBatch != sim.EpochAuto) {
 		return errors.New("-workers and -epoch-batch configure the parallel engine: add -parallel")
 	}

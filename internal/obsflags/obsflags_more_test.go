@@ -52,6 +52,9 @@ func TestEngineFlags(t *testing.T) {
 		{args: []string{"-workers", "-1"}, wantErr: true},
 		{args: []string{"-epoch-batch", "8"}, wantErr: true},
 		{args: []string{"-skip-ahead", "-epoch-batch", "1"}, wantErr: true},
+		{args: []string{"-parallel", "-epoch-batch", "-1"}, wantErr: true},
+		{args: []string{"-sample", "0"}, wantErr: true},
+		{args: []string{"-sample", "-5"}, wantErr: true},
 		{args: []string{"-parallel"}, workers: sim.WorkersAuto, fired: 100},
 		{args: []string{"-parallel", "-workers", "2"}, workers: 2, fired: 100},
 		{args: []string{"-parallel", "-workers", "2", "-epoch-batch", "4", "-skip-ahead"}, workers: 2, fired: 0},

@@ -36,9 +36,8 @@ import (
 //
 // Under those rules any shard interleaving — including the fully serial
 // one — yields the same machine state, so every worker count simulates
-// the same machine. The top-level differential suite
-// (engine_equiv_test.go) proves it for every configuration of the
-// dissertation's evaluation.
+// the same machine. The top-level determinism matrix (matrix_test.go)
+// proves it for every scenario of its table.
 //
 // Execution model: one worker runs the schedule inline with no
 // synchronization at all. Above that, a pool of persistent workers is

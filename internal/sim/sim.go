@@ -278,7 +278,7 @@ type Timebase interface {
 // register components and advance simulated time. ParallelClock
 // implements it, and every worker count produces a bit-for-bit identical
 // simulation for components that honor the Shardable contract (see
-// parallel.go and the top-level differential suite engine_equiv_test.go).
+// parallel.go and the top-level determinism matrix, matrix_test.go).
 type Engine interface {
 	Register(t Ticker)
 	RegisterPrio(t Ticker, prio int)
