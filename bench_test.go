@@ -12,15 +12,16 @@ package cfm_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"cfm"
 	"cfm/internal/att"
-	"cfm/internal/cache"
-	"cfm/internal/consistency"
 	"cfm/internal/core"
 	"cfm/internal/linda"
 	"cfm/internal/network"
+	"cfm/internal/obsflags"
+	catalog "cfm/internal/scenario"
 	"cfm/internal/sim"
 )
 
@@ -301,41 +302,19 @@ func BenchmarkLindaVsBinding(b *testing.B) {
 // strategies on a skewed job mix: affine placement preserves locality
 // and efficiency; scatter and random lose both.
 func BenchmarkAblationAllocation(b *testing.B) {
-	cfg := core.PartialConfig{
-		Processors: 32, Modules: 4, BlockWords: 16, BankCycle: 2,
-		Locality: 0.9, AccessRate: 0.04, RetryMean: 4, Seed: 1,
-	}
-	jobs := make([]core.Job, 24)
-	for i := range jobs {
-		jobs[i] = core.Job{Home: i % 2}
-	}
-	strategies := []struct {
-		name  string
-		place func() (core.Placement, error)
-	}{
-		{"Affine", func() (core.Placement, error) { return core.AllocateAffine(cfg, jobs) }},
-		{"Scatter", func() (core.Placement, error) { return core.AllocateScatter(cfg, jobs) }},
-		{"Random", func() (core.Placement, error) { return core.AllocateRandom(cfg, jobs, sim.NewRNG(7)) }},
-	}
-	for _, st := range strategies {
-		b.Run(st.name, func(b *testing.B) {
-			var eff, loc float64
+	for _, st := range []string{"Affine", "Scatter", "Random"} {
+		b.Run(st, func(b *testing.B) {
+			var run catalog.AllocationRun
 			for i := 0; i < b.N; i++ {
-				pl, err := st.place()
+				runs, err := catalog.Allocation(new(obsflags.Observatory),
+					catalog.AllocationParams{Slots: 60000, Strategies: []string{strings.ToLower(st)}})
 				if err != nil {
 					b.Fatal(err)
 				}
-				c := cfg
-				c.Homes = pl
-				p := core.NewPartial(c)
-				clk := sim.NewClock()
-				clk.Register(p)
-				clk.Run(60000)
-				eff = p.Efficiency()
-				loc = pl.LocalityOf(cfg)
+				run = runs[0]
 			}
-			b.ReportMetric(eff, "efficiency")
-			b.ReportMetric(loc, "placement-locality")
+			b.ReportMetric(run.Efficiency, "efficiency")
+			b.ReportMetric(run.Locality, "placement-locality")
 		})
 	}
 }
@@ -346,15 +325,11 @@ func BenchmarkAblationAllocation(b *testing.B) {
 func BenchmarkAblationSlotSharing(b *testing.B) {
 	for _, sharing := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("sharing=%d", sharing), func(b *testing.B) {
-			var s *core.Shared
+			p := catalog.DefaultSharing()
+			p.Slots, p.Factors = 60000, []int{sharing}
+			var s *cfm.Shared
 			for i := 0; i < b.N; i++ {
-				s = core.NewShared(core.SharedConfig{
-					Divisions: 8, Sharing: sharing, BlockWords: 16, BankCycle: 2,
-					AccessRate: 0.02, RetryMean: 4, Seed: 1,
-				})
-				clk := sim.NewClock()
-				clk.Register(s)
-				clk.Run(60000)
+				s = catalog.Sharing(new(obsflags.Observatory), p)[0]
 			}
 			b.ReportMetric(s.Efficiency(), "efficiency")
 			b.ReportMetric(s.Utilization(), "utilization")
@@ -366,56 +341,35 @@ func BenchmarkAblationSlotSharing(b *testing.B) {
 // BenchmarkAblationTopology compares inter-cluster topologies (§3.3) by
 // mean remote-access round trip on a 16-cluster system.
 func BenchmarkAblationTopology(b *testing.B) {
-	topos := []core.Topology{
-		core.FullyConnected{N: 16},
-		core.Hypercube{Dim: 4},
-		core.Mesh2D{Rows: 4, Cols: 4},
-		core.Ring{N: 16},
-	}
-	for _, topo := range topos {
-		b.Run(topo.String(), func(b *testing.B) {
-			var mean float64
-			for i := 0; i < b.N; i++ {
-				mean = core.MeanHops(topo)
+	for i, row := range catalog.Topologies() {
+		b.Run(row.Topology.String(), func(b *testing.B) {
+			for j := 0; j < b.N; j++ {
+				row = catalog.Topologies()[i]
 			}
-			b.ReportMetric(mean, "mean-hops")
-			b.ReportMetric(float64(core.Diameter(topo)), "diameter")
+			b.ReportMetric(row.MeanHops, "mean-hops")
+			b.ReportMetric(float64(row.Diameter), "diameter")
 		})
 	}
 }
 
 // BenchmarkOrderingFrontends measures, for the same program under each
-// §2.2 ordering discipline, when the last LOAD performs — the latency
-// relaxation buys: buffered/weak loads bypass pending stores, so the
-// consumer-visible results arrive earlier even though the write-backs
-// drain later.
+// §2.2 ordering discipline (cfmsim ordering's: 10 store/load pairs over
+// 6 offsets), when the last LOAD performs — the latency relaxation buys:
+// buffered/weak loads bypass pending stores, so the consumer-visible
+// results arrive earlier even though the write-backs drain later.
 func BenchmarkOrderingFrontends(b *testing.B) {
-	for _, mode := range []cache.Ordering{cache.StrictOrder, cache.BufferedOrder, cache.WeakOrder, cache.ReleaseOrder} {
+	for i, mode := range []cfm.Ordering{cfm.StrictOrder, cfm.BufferedOrder, cfm.WeakOrder, cfm.ReleaseOrder} {
 		b.Run(mode.String(), func(b *testing.B) {
-			var lastLoad, drain float64
-			for i := 0; i < b.N; i++ {
-				c := cache.New(cache.Config{Processors: 4, Lines: 8, RetryDelay: 1}, nil)
-				clk := sim.NewClock()
-				fe := cache.NewFrontend(c, clk, 0, mode)
-				clk.Register(fe)
-				clk.Register(c)
-				for j := 0; j < 10; j++ {
-					fe.Store(j%6, 0, cfm.Word(j))
-					fe.Load((j+1)%6, 0, nil)
+			var run catalog.OrderingRun
+			for j := 0; j < b.N; j++ {
+				runs, err := catalog.Ordering(new(obsflags.Observatory), catalog.OrderingParams{Pairs: 10, Offsets: 6})
+				if err != nil {
+					b.Fatal(err)
 				}
-				n, ok := clk.RunUntil(fe.Idle, 100000)
-				if !ok {
-					b.Fatal("program did not drain")
-				}
-				drain = float64(n)
-				for _, op := range fe.Ops {
-					if op.Kind == consistency.Load && float64(op.PerformedAt) > lastLoad {
-						lastLoad = float64(op.PerformedAt)
-					}
-				}
+				run = runs[i]
 			}
-			b.ReportMetric(lastLoad, "last-load-slot")
-			b.ReportMetric(drain, "drain-slots")
+			b.ReportMetric(float64(run.LastLoad), "last-load-slot")
+			b.ReportMetric(float64(run.Drain), "drain-slots")
 		})
 	}
 }

@@ -1,29 +1,15 @@
 // Command cfmsim drives the Conflict-Free Memory reproduction: each
-// subcommand regenerates one table or figure of the dissertation.
+// subcommand regenerates one table or figure of the dissertation. The
+// experiments are internal/scenario's catalog, run here at cfmsim's own
+// flag values and rendered in full.
 //
 // Usage:
 //
 //	cfmsim <command> [flags]
 //
-// Commands:
-//
-//	atspace       Table 3.1 / Fig 3.3: address path connection table
-//	table3.3      Table 3.3: CFM configuration trade-off
-//	table3.4      Table 3.4 / Fig 3.8: synchronous omega switch states
-//	table3.5      Table 3.5: 64-bank partially synchronous configurations
-//	timing        Fig 3.6: block read timing diagram
-//	efficiency    Figs 3.13/3.14/3.15: analytic curves + simulation check
-//	treesat       Fig 2.1: tree saturation sweep on a buffered MIN
-//	headers       Figs 3.9/3.10: message header sizes
-//	att           Figs 4.1/4.3: address tracking demonstrations
-//	locktransfer  Fig 5.4: lock transfer walkthrough
-//	latency       Tables 5.5/5.6: hierarchical read latencies vs DASH/KSR1
-//	observe       instrumented run with bank-conflict / network heatmaps
-//	waterfall     flight-recorder span timelines for one instrumented run
-//	bisect        localize the first divergent slot between two engines
-//
-// The simulation-heavy commands accept the observability flags
-// -metrics-out, -trace-out, -http, -sample, and -spans-out (see usage).
+// Run cfmsim without arguments for the commands and the engine and
+// observability flags the simulation-heavy ones accept; commands() is
+// the one table behind that list and the dispatch.
 package main
 
 import (
@@ -34,117 +20,76 @@ import (
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 
 	"cfm"
-	"cfm/internal/analytic"
 	"cfm/internal/core"
+	"cfm/internal/network"
 	"cfm/internal/obsflags"
+	"cfm/internal/scenario"
+	"cfm/internal/sim"
 	"cfm/internal/stats"
 )
+
+// command is one cfmsim subcommand.
+type command struct {
+	name    string
+	summary string // continuation lines after "\n"
+	run     func(args []string)
+}
+
+func commands() []command {
+	return []command{
+		{"atspace", "Table 3.1 / Fig 3.3: address path connection table", cmdATSpace},
+		{"table3.3", "Table 3.3: CFM configuration trade-off", cmdTable33},
+		{"table3.4", "Table 3.4 / Fig 3.8: synchronous omega switch states", cmdTable34},
+		{"table3.5", "Table 3.5: 64-bank partially synchronous configurations", cmdTable35},
+		{"timing", "Fig 3.6: block read timing diagram", cmdTiming},
+		{"efficiency", "Figs 3.13/3.14/3.15 (-fig 3.13|3.14|3.15)", cmdEfficiency},
+		{"treesat", "Fig 2.1: tree saturation sweep", cmdTreeSat},
+		{"headers", "Figs 3.9/3.10: message header sizes", cmdHeaders},
+		{"att", "Figs 4.1/4.3 (-demo inconsistency|tracking)", cmdATT},
+		{"locktransfer", "Fig 5.4: lock transfer walkthrough", cmdLockTransfer},
+		{"latency", "Tables 5.5/5.6 (-config dash|ksr1)", cmdLatency},
+		{"alloc", "§7.2 processor allocation strategy comparison", cmdAlloc},
+		{"sharing", "§7.2 slot-sharing factor sweep", cmdSharing},
+		{"topology", "§3.3 inter-cluster topology comparison", cmdTopology},
+		{"ordering", "§2.2 memory ordering disciplines vs the formal models", cmdOrdering},
+		{"observe", "instrumented simulation: bank-conflict heatmap and\nnetwork-occupancy view from the sampled time series", cmdObserve},
+		{"waterfall", "flight recorder: per-access span timelines with the\nqueue/service/network latency decomposition", cmdWaterfall},
+		{"bisect", "binary-search the first slot at which two engine\nconfigurations diverge, via checkpoint/restore", cmdBisect},
+	}
+}
 
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	switch cmd {
-	case "atspace":
-		cmdATSpace(args)
-	case "table3.3":
-		cmdTable33(args)
-	case "table3.4":
-		cmdTable34(args)
-	case "table3.5":
-		cmdTable35(args)
-	case "timing":
-		cmdTiming(args)
-	case "efficiency":
-		cmdEfficiency(args)
-	case "treesat":
-		cmdTreeSat(args)
-	case "headers":
-		cmdHeaders(args)
-	case "att":
-		cmdATT(args)
-	case "locktransfer":
-		cmdLockTransfer(args)
-	case "latency":
-		cmdLatency(args)
-	case "alloc":
-		cmdAlloc(args)
-	case "sharing":
-		cmdSharing(args)
-	case "topology":
-		cmdTopology(args)
-	case "ordering":
-		cmdOrdering(args)
-	case "observe":
-		cmdObserve(args)
-	case "waterfall":
-		cmdWaterfall(args)
-	case "bisect":
-		cmdBisect(args)
-	default:
-		fmt.Fprintf(os.Stderr, "cfmsim: unknown command %q\n\n", cmd)
-		usage()
-		os.Exit(2)
+	name, args := os.Args[1], os.Args[2:]
+	for _, c := range commands() {
+		if c.name == name {
+			c.run(args)
+			return
+		}
 	}
+	fmt.Fprintf(os.Stderr, "cfmsim: unknown command %q\n\n", name)
+	usage()
+	os.Exit(2)
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: cfmsim <command> [flags]
-
-commands:
-  atspace       Table 3.1 / Fig 3.3: address path connection table
-  table3.3      Table 3.3: CFM configuration trade-off
-  table3.4      Table 3.4 / Fig 3.8: synchronous omega switch states
-  table3.5      Table 3.5: 64-bank partially synchronous configurations
-  timing        Fig 3.6: block read timing diagram
-  efficiency    Figs 3.13/3.14/3.15 (-fig 3.13|3.14|3.15)
-  treesat       Fig 2.1: tree saturation sweep
-  headers       Figs 3.9/3.10: message header sizes
-  att           Figs 4.1/4.3 (-demo inconsistency|tracking)
-  locktransfer  Fig 5.4: lock transfer walkthrough
-  latency       Tables 5.5/5.6 (-config dash|ksr1)
-  alloc         §7.2 processor allocation strategy comparison
-  sharing       §7.2 slot-sharing factor sweep
-  topology      §3.3 inter-cluster topology comparison
-  ordering      §2.2 memory ordering disciplines vs the formal models
-  observe       instrumented simulation: bank-conflict heatmap and
-                network-occupancy view from the sampled time series
-  waterfall     flight recorder: per-access span timelines with the
-                queue/service/network latency decomposition
-  bisect        binary-search the first slot at which two engine
-                configurations diverge, via checkpoint/restore
-
-simulation-heavy commands (efficiency, treesat, alloc, observe) accept
-  -parallel         run on the parallel cycle engine (same results,
-                    bit for bit, by the engine equivalence guarantee)
-  -workers N        parallel engine workers (0 = auto: serial fallback
-                    for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)
-  -skip-ahead       event-horizon scheduling: jump the clock over slots
-                    no component declared interest in (same results,
-                    bit for bit; pays off on sparse/bursty workloads)
-  -epoch-batch K    barrier episode length for the parallel engine:
-                    0 = auto (fuse up to 16 slots per episode when every
-                    component is epoch-safe), 1 = per-slot barriers,
-                    K > 1 caps episodes at K slots (same results, bit
-                    for bit)
-  -workers and -epoch-batch need -parallel: without it the run is on
-  one worker, and giving either is an error
-
-observability flags (efficiency, treesat, alloc, observe):
-  -metrics-out F    write metrics to F: *.jsonl gets the slot-sampled
-                    time series, anything else the Prometheus exposition
-  -trace-out F      write the event trace as JSONL (observe, att)
-  -http ADDR        serve /metrics, /healthz, /statusz, /debug/vars and
-                    /debug/pprof on ADDR (e.g. :8080) during the run
-  -sample N         slots between time-series samples (default 1000)
-  -spans-out F      write the flight recorder's access spans to F:
-                    *.json gets Chrome trace-event JSON (open in
-                    Perfetto / chrome://tracing), anything else JSONL
-  -spans-limit N    flight recorder ring capacity in events`)
+	fmt.Fprint(os.Stderr, "usage: cfmsim <command> [flags]\n\ncommands:\n")
+	for _, c := range commands() {
+		fmt.Fprintf(os.Stderr, "  %-13s %s\n", c.name, strings.ReplaceAll(c.summary, "\n", "\n"+strings.Repeat(" ", 16)))
+	}
+	fmt.Fprint(os.Stderr, "\nthe simulation-heavy commands (efficiency, treesat, alloc, observe, waterfall)\n"+
+		"accept the engine and observability flags; results are the same, bit for bit,\n"+
+		"under every engine flag:\n")
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	obsflags.Flags(fs)
+	fs.SetOutput(os.Stderr)
+	fs.PrintDefaults()
 }
 
 // usageCheck exits 2, the code of every usage error, with a one-line
@@ -157,6 +102,14 @@ func usageCheck(errs ...error) {
 			fmt.Fprintln(os.Stderr, "cfmsim:", err)
 			os.Exit(2)
 		}
+	}
+}
+
+// fail exits 1 on a run-time error.
+func fail(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cfmsim:", err)
+		os.Exit(1)
 	}
 }
 
@@ -176,21 +129,27 @@ func atLeast(name string, v, least int64) error {
 	return nil
 }
 
+// openObservatory opens the -metrics-out/-trace-out/-http observatory,
+// exiting on a bad flag combination (e.g. an unbindable -http address).
+func openObservatory(obs *obsflags.Observatory, force bool) {
+	usageCheck(obs.Validate())
+	fail(obs.Open(force))
+}
+
 func cmdATSpace(args []string) {
 	fs := flag.NewFlagSet("atspace", flag.ExitOnError)
-	n := fs.Int("n", 4, "processors")
-	c := fs.Int("c", 2, "bank cycle (CPU cycles)")
+	cfg := scenario.DefaultATSpace()
+	fs.IntVar(&cfg.Processors, "n", cfg.Processors, "processors")
+	fs.IntVar(&cfg.BankCycle, "c", cfg.BankCycle, "bank cycle (CPU cycles)")
 	fs.Parse(args)
-
-	cfg := cfm.Config{Processors: *n, BankCycle: *c, WordWidth: 32}
 	usageCheck(cfg.Validate())
-	at := cfm.NewATSpace(cfg)
+
 	fmt.Printf("Table 3.1 — address path connections (%v)\n\n", cfg)
 	tb := &stats.Table{Header: []string{"slot"}}
 	for b := 0; b < cfg.Banks(); b++ {
 		tb.Header = append(tb.Header, fmt.Sprintf("B%d", b))
 	}
-	for slot, row := range at.ConnectionTable() {
+	for slot, row := range core.NewATSpace(cfg).ConnectionTable() {
 		cells := []any{fmt.Sprintf("Slot %d", slot)}
 		for _, p := range row {
 			if p < 0 {
@@ -210,7 +169,7 @@ func cmdTable33(args []string) {
 	c := fs.Int("c", 2, "bank cycle")
 	fs.Parse(args)
 	usageCheck(atLeast("block", int64(*block), 1), atLeast("c", int64(*c), 1))
-	rows := cfm.Tradeoff(*block, *c)
+	rows := core.Tradeoff(*block, *c)
 	if len(rows) == 0 {
 		usageCheck(fmt.Errorf("-block %d -c %d: no CFM configuration splits the block across banks", *block, *c))
 	}
@@ -228,9 +187,9 @@ func cmdTable34(args []string) {
 	n := fs.Int("n", 8, "network size (power of two)")
 	states := fs.Bool("states", false, "also print per-slot permutations (Fig 3.8)")
 	fs.Parse(args)
-
-	so, err := cfm.NewSyncOmega(*n)
+	so, err := network.NewSyncOmega(*n)
 	usageCheck(flagError("n", *n, err))
+
 	fmt.Printf("Table 3.4 — states of switches in an %dx%d synchronous omega network\n\n", *n, *n)
 	tb := &stats.Table{Header: []string{"slot"}}
 	for col := 0; col < so.Columns(); col++ {
@@ -238,12 +197,10 @@ func cmdTable34(args []string) {
 			tb.Header = append(tb.Header, fmt.Sprintf("c%d.s%d", col, sw))
 		}
 	}
-	for t := 0; t < *n; t++ {
+	for t, row := range so.StateTable() {
 		cells := []any{fmt.Sprintf("Slot %d", t)}
-		for _, col := range so.States(int64(t)) {
-			for _, st := range col {
-				cells = append(cells, st.String())
-			}
+		for _, st := range row {
+			cells = append(cells, st.String())
 		}
 		tb.AddRow(cells...)
 	}
@@ -265,19 +222,17 @@ func cmdTable35(args []string) {
 	fs := flag.NewFlagSet("table3.5", flag.ExitOnError)
 	banks := fs.Int("banks", 64, "total banks (power of two)")
 	fs.Parse(args)
-	po0, err := cfm.NewPartialOmega(*banks, 0)
+	configs, err := scenario.Configurations(*banks)
 	usageCheck(flagError("banks", *banks, err))
 
 	fmt.Printf("Table 3.5 — configurations of a %d-bank multiprocessor\n\n", *banks)
 	tb := &stats.Table{Header: []string{"Module", "Bank", "Block size", "Circuit-switching", "Clock-driven", "Remark"}}
-	cols := po0.ClockColumns()
-	for cc := 0; cc <= cols; cc++ {
-		po, _ := cfm.NewPartialOmega(*banks, cc)
+	for cc, po := range configs {
 		remark := ""
-		switch {
-		case cc == 0:
+		switch cc {
+		case 0:
 			remark = "CFM"
-		case cc == cols:
+		case len(configs) - 1:
 			remark = "Conventional"
 		}
 		tb.AddRow(po.Modules(), po.BanksPerModule(),
@@ -291,229 +246,129 @@ func cmdTable35(args []string) {
 
 func cmdTiming(args []string) {
 	fs := flag.NewFlagSet("timing", flag.ExitOnError)
-	n := fs.Int("n", 4, "processors")
-	c := fs.Int("c", 2, "bank cycle")
+	cfg := scenario.DefaultATSpace()
+	fs.IntVar(&cfg.Processors, "n", cfg.Processors, "processors")
+	fs.IntVar(&cfg.BankCycle, "c", cfg.BankCycle, "bank cycle")
 	p := fs.Int("p", 0, "issuing processor")
 	slot := fs.Int("slot", 0, "issue slot")
 	fs.Parse(args)
-
-	cfg := cfm.Config{Processors: *n, BankCycle: *c, WordWidth: 32}
 	usageCheck(cfg.Validate())
-	if *p < 0 || *p >= *n {
-		usageCheck(fmt.Errorf("-p %d: processor out of range [0,%d)", *p, *n))
+	if *p < 0 || *p >= cfg.Processors {
+		usageCheck(fmt.Errorf("-p %d: processor out of range [0,%d)", *p, cfg.Processors))
 	}
 	fmt.Printf("Fig 3.6 — timing diagram of a block read (%v)\n\n", cfg)
-	fmt.Print(cfm.NewATSpace(cfg).RenderTiming(cfm.Slot(*slot), *p))
+	fmt.Print(core.NewATSpace(cfg).RenderTiming(sim.Slot(*slot), *p))
 }
 
+// cmdEfficiency renders the analytic curves of one of Figs 3.13–3.15
+// and cross-checks them with the discrete-event simulation at a few
+// anchor rates, with the other design at the same rates as reference.
+// Every run carries a flight recorder, so after the cross-check it
+// prints the paper's central claim in queueing terms: the decomposition
+// of each design's access latency into queue + service + network (§3.4
+// — the conflict-free queue term stays flat while the conventional one
+// grows with the access rate).
 func cmdEfficiency(args []string) {
 	fs := flag.NewFlagSet("efficiency", flag.ExitOnError)
-	fig := fs.String("fig", "3.13", "which figure: 3.13, 3.14, or 3.15")
+	p := scenario.EfficiencyParams{
+		Localities: []float64{0.9, 0.5}, Rates: []float64{0.01, 0.03, 0.05}, Seed: 11, Spans: true}
+	fs.StringVar(&p.Fig, "fig", "3.13", "which figure: 3.13, 3.14, or 3.15")
 	steps := fs.Int("steps", 12, "rate sweep steps")
 	simulate := fs.Bool("sim", true, "cross-check with discrete-event simulation")
-	slots := fs.Int64("slots", 300000, "simulation slots per point")
+	fs.Int64Var(&p.Slots, "slots", 300000, "simulation slots per point")
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
-	usageCheck(atLeast("steps", int64(*steps), 1), atLeast("slots", *slots, 1))
+	usageCheck(atLeast("steps", int64(*steps), 1), atLeast("slots", p.Slots, 1), p.Validate())
 	openObservatory(obs, false)
 
-	var series []cfm.Series
-	switch *fig {
-	case "3.13":
-		series = cfm.Fig313(*steps)
-	case "3.14":
-		series = cfm.Fig314(*steps)
-	case "3.15":
-		series = cfm.Fig315(*steps)
-	default:
-		fmt.Fprintf(os.Stderr, "cfmsim: unknown figure %q\n", *fig)
-		os.Exit(2)
-	}
-	fmt.Printf("Fig %s — memory access efficiency (analytic model, §3.4)\n\n", *fig)
-	var plots []stats.PlotSeries
+	fmt.Printf("Fig %s — memory access efficiency (analytic model, §3.4)\n\n", p.Fig)
+	curves := map[string]func(int) []cfm.Series{"3.13": cfm.Fig313, "3.14": cfm.Fig314, "3.15": cfm.Fig315}[p.Fig](*steps)
 	tb := &stats.Table{Header: []string{"r"}}
-	for _, s := range series {
+	var plots []stats.PlotSeries
+	for _, s := range curves {
 		tb.Header = append(tb.Header, s.Label)
+		ps := stats.PlotSeries{Label: s.Label}
+		for _, pt := range s.Points {
+			ps.X = append(ps.X, pt.Rate)
+			ps.Y = append(ps.Y, pt.Efficiency)
+		}
+		plots = append(plots, ps)
 	}
-	for i := range series[0].Points {
-		cells := []any{stats.FormatFloat(series[0].Points[i].Rate)}
-		for _, s := range series {
+	for i := range curves[0].Points {
+		cells := []any{stats.FormatFloat(curves[0].Points[i].Rate)}
+		for _, s := range curves {
 			cells = append(cells, s.Points[i].Efficiency)
 		}
 		tb.AddRow(cells...)
-	}
-	for _, s := range series {
-		ps := stats.PlotSeries{Label: s.Label}
-		for _, p := range s.Points {
-			ps.X = append(ps.X, p.Rate)
-			ps.Y = append(ps.Y, p.Efficiency)
-		}
-		plots = append(plots, ps)
 	}
 	fmt.Print(tb)
 	fmt.Println()
 	fmt.Print(stats.Plot(64, 16, plots))
 
 	if *simulate {
+		runs, err := scenario.Efficiency(obs, p)
+		fail(err)
+		// The reference: Fig 3.14's partial system at the first locality
+		// for Fig 3.13, else Fig 3.13's conventional memory.
+		ref := p
+		ref.Fig = "3.13"
+		if p.Fig == "3.13" {
+			ref.Fig, ref.Localities = "3.14", p.Localities[:1]
+		}
+		refRuns, err := scenario.Efficiency(obs, ref)
+		fail(err)
+
 		fmt.Println("\ndiscrete-event simulation cross-check:")
-		simEfficiency(*fig, *slots, obs.NewEngine, obs)
-	}
-	closeObservatory(obs)
-}
-
-// simEfficiency runs the matching simulators at a few anchor rates.
-// newEngine builds a fresh cycle engine per point (one worker or a
-// pool, per the -parallel/-workers flags; the results are identical
-// either way by the engine equivalence guarantee). Every run carries a
-// flight recorder, so after the efficiency cross-check it prints the paper's
-// central claim in queueing terms: the decomposition of each design's
-// access latency into queue + service + network (§3.4 — the
-// conflict-free queue term stays flat while the conventional one grows
-// with the access rate).
-func simEfficiency(fig string, slots int64, newEngine func() cfm.Engine, obs *obsflags.Observatory) {
-	rates := []float64{0.01, 0.03, 0.05}
-	tb := &stats.Table{Header: []string{"r", "simulated", "analytic", "system"}}
-	type decompRow struct {
-		system string
-		r      float64
-		att    cfm.FlightAttribution
-	}
-	var decomp []decompRow
-	// attribute decomposes one run's span stream and, when -spans-out is
-	// open, forwards the events to the export ring.
-	attribute := func(system string, r float64, rec *cfm.FlightRecorder) {
-		events := rec.Events()
-		if obs.Flight != nil {
-			for _, ev := range events {
-				obs.Flight.Append(ev)
+		tb := &stats.Table{Header: []string{"r", "simulated", "analytic", "system"}}
+		for _, run := range runs {
+			system := "conventional 8p/8m"
+			if !run.Conventional {
+				system = fmt.Sprintf("partial CFM λ=%.1f", run.Locality)
 			}
+			tb.AddRow(stats.FormatFloat(run.Rate), run.Efficiency, run.Analytic, system)
 		}
-		decomp = append(decomp, decompRow{system, r, cfm.AttributeFlight(events)})
-	}
-	runConventional := func(r float64) *cfm.Conventional {
-		cs := cfm.NewConventional(cfm.ConventionalConfig{
-			Processors: 8, Modules: 8, BlockTime: 17,
-			AccessRate: r, RetryMean: 8, Seed: 11,
-		})
-		cs.Instrument(obs.Reg)
-		rec := cfm.NewFlightRecorder(obs.SpansLimit)
-		cs.RecordFlight(rec)
-		clk := newEngine()
-		clk.Register(cs)
-		obs.Attach(clk)
-		clk.Run(slots)
-		attribute("conventional 8p/8m", r, rec)
-		return cs
-	}
-	runPartial := func(n, m int, lam, r float64) *cfm.Partial {
-		p := cfm.NewPartial(core.PartialConfig{
-			Processors: n, Modules: m, BlockWords: 16, BankCycle: 2,
-			Locality: lam, AccessRate: r, RetryMean: 8, Seed: 11,
-		})
-		p.Instrument(obs.Reg)
-		rec := cfm.NewFlightRecorder(obs.SpansLimit)
-		p.RecordFlight(rec)
-		clk := newEngine()
-		clk.Register(p)
-		obs.Attach(clk)
-		clk.Run(slots)
-		attribute(fmt.Sprintf("partial CFM %dp λ=%.1f", n, lam), r, rec)
-		return p
-	}
-	switch fig {
-	case "3.13":
-		model := analytic.ConventionalModel{Processors: 8, Modules: 8, BlockTime: 17}
-		for _, r := range rates {
-			cs := runConventional(r)
-			tb.AddRow(stats.FormatFloat(r), cs.Efficiency(), model.Efficiency(r), "conventional 8p/8m")
-		}
-		// A conflict-free reference at the same rates, so the
-		// decomposition table holds both designs.
-		for _, r := range rates {
-			runPartial(64, 8, 0.9, r)
-		}
-	case "3.14", "3.15":
-		n, m := 64, 8
-		if fig == "3.15" {
-			n, m = 128, 16
-		}
-		model := analytic.PartialModel{Processors: n, Modules: m, BlockTime: 17}
-		for _, lam := range []float64{0.9, 0.5} {
-			for _, r := range rates {
-				p := runPartial(n, m, lam, r)
-				tb.AddRow(stats.FormatFloat(r), p.Efficiency(), model.Efficiency(r, lam),
-					fmt.Sprintf("partial CFM λ=%.1f", lam))
+		fmt.Print(tb)
+
+		fmt.Println("\nqueueing-delay decomposition (flight recorder, complete spans):")
+		dt := &stats.Table{Header: []string{"system", "r", "spans",
+			"queue p50/p95/p99", "queue mean", "service p50", "network p50", "total p95"}}
+		for _, run := range append(runs, refRuns...) {
+			system, a := "conventional 8p/8m", run.Spans
+			if !run.Conventional {
+				system = fmt.Sprintf("partial CFM %dp λ=%.1f", run.Processors, run.Locality)
 			}
+			dt.AddRow(system, stats.FormatFloat(run.Rate), a.Spans,
+				fmt.Sprintf("%d/%d/%d", a.Queue.P50, a.Queue.P95, a.Queue.P99),
+				fmt.Sprintf("%.2f", a.Queue.Mean),
+				a.Service.P50, a.Network.P50, a.Total.P95)
 		}
-		// The conventional baseline at the same rates, for the
-		// decomposition comparison.
-		for _, r := range rates {
-			runConventional(r)
-		}
+		fmt.Print(dt)
+		fmt.Println("the conflict-free design's queue term stays flat as r grows;")
+		fmt.Println("the conventional design's queue term is the §3.4 degradation.")
 	}
-	fmt.Print(tb)
-
-	fmt.Println("\nqueueing-delay decomposition (flight recorder, complete spans):")
-	dt := &stats.Table{Header: []string{"system", "r", "spans",
-		"queue p50/p95/p99", "queue mean", "service p50", "network p50", "total p95"}}
-	for _, d := range decomp {
-		dt.AddRow(d.system, stats.FormatFloat(d.r), d.att.Spans,
-			fmt.Sprintf("%d/%d/%d", d.att.Queue.P50, d.att.Queue.P95, d.att.Queue.P99),
-			fmt.Sprintf("%.2f", d.att.Queue.Mean),
-			d.att.Service.P50, d.att.Network.P50, d.att.Total.P95)
-	}
-	fmt.Print(dt)
-	fmt.Println("the conflict-free design's queue term stays flat as r grows;")
-	fmt.Println("the conventional design's queue term is the §3.4 degradation.")
-}
-
-// openObservatory opens the -metrics-out/-trace-out/-http observatory,
-// exiting on a bad flag combination (e.g. an unbindable -http address).
-func openObservatory(obs *obsflags.Observatory, force bool) {
-	usageCheck(obs.Validate())
-	if err := obs.Open(force); err != nil {
-		fmt.Fprintln(os.Stderr, "cfmsim:", err)
-		os.Exit(1)
-	}
-}
-
-// closeObservatory flushes the observatory's output files.
-func closeObservatory(obs *obsflags.Observatory) {
-	if err := obs.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "cfmsim:", err)
-		os.Exit(1)
-	}
+	fail(obs.Close())
 }
 
 func cmdTreeSat(args []string) {
 	fs := flag.NewFlagSet("treesat", flag.ExitOnError)
-	n := fs.Int("n", 16, "terminals")
-	rate := fs.Float64("rate", 0.1, "injection rate")
-	slots := fs.Int64("slots", 30000, "simulation slots")
+	p := scenario.DefaultTreeSat()
+	p.Hot = []float64{0, 0.05, 0.1, 0.2, 0.3, 0.4}
+	fs.IntVar(&p.Terminals, "n", p.Terminals, "terminals")
+	fs.Float64Var(&p.Rate, "rate", p.Rate, "injection rate")
+	fs.Int64Var(&p.Slots, "slots", p.Slots, "simulation slots")
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
-	netCfg := cfm.BufferedConfig{Terminals: *n, QueueCap: 4, ServiceTime: 2, Rate: *rate, Seed: 7}
-	usageCheck(netCfg.Validate(), atLeast("slots", *slots, 1))
+	usageCheck(p.Validate(), atLeast("slots", p.Slots, 1))
 	openObservatory(obs, false)
 
-	fmt.Printf("Fig 2.1 — tree saturation from a hot spot (%dx%d buffered omega, rate %.2f)\n\n", *n, *n, *rate)
+	fmt.Printf("Fig 2.1 — tree saturation from a hot spot (%dx%d buffered omega, rate %.2f)\n\n", p.Terminals, p.Terminals, p.Rate)
 	tb := &stats.Table{Header: []string{"hot-spot fraction", "bg latency", "hot latency", "full queues/col", "backlog"}}
-	for _, hot := range []float64{0, 0.05, 0.1, 0.2, 0.3, 0.4} {
-		c := netCfg
-		c.HotFraction = hot
-		b := cfm.NewBufferedOmega(c)
-		b.Instrument(obs.Reg)
-		b.RecordFlight(obs.Flight)
-		clk := obs.NewEngine()
-		clk.Register(b)
-		obs.Attach(clk)
-		clk.Run(*slots)
-		tb.AddRow(hot, b.MeanLatencyBg(), b.MeanLatencyHot(),
-			fmt.Sprint(b.FullQueues()), b.QueuedPackets())
+	for i, b := range scenario.TreeSat(obs, p) {
+		tb.AddRow(p.Hot[i], b.MeanLatencyBg(), b.MeanLatencyHot(), fmt.Sprint(b.FullQueues()), b.QueuedPackets())
 	}
 	fmt.Print(tb)
 	fmt.Println("\nthe CFM eliminates the effect: every access costs β regardless of pattern.")
-	closeObservatory(obs)
+	fail(obs.Close())
 }
 
 func cmdHeaders(args []string) {
@@ -521,20 +376,20 @@ func cmdHeaders(args []string) {
 	banks := fs.Int("banks", 8, "banks (power of two)")
 	words := fs.Int("words", 1024, "words per bank (offset space)")
 	fs.Parse(args)
-	po0, err := cfm.NewPartialOmega(*banks, 0)
-	usageCheck(flagError("banks", *banks, err), atLeast("words", int64(*words), 1))
+	usageCheck(atLeast("words", int64(*words), 1))
+	configs, err := scenario.Configurations(*banks)
+	usageCheck(flagError("banks", *banks, err))
 
 	fmt.Printf("Figs 3.9/3.10 — message headers of memory access requests (%d banks, %d offsets)\n\n", *banks, *words)
 	tb := &stats.Table{Header: []string{"network", "module bits", "offset bits", "total"}}
-	for cc := 0; cc <= po0.ClockColumns(); cc++ {
-		po, _ := cfm.NewPartialOmega(*banks, cc)
-		h := po.RequestHeader(*words)
+	for cc, po := range configs {
 		name := fmt.Sprintf("partial (%d modules)", po.Modules())
 		if cc == 0 {
 			name = "synchronous (CFM)"
 		} else if po.BanksPerModule() == 1 {
 			name = "circuit-switching"
 		}
+		h := po.RequestHeader(*words)
 		tb.AddRow(name, h.ModuleBits, h.OffsetBits, h.Bits())
 	}
 	fmt.Print(tb)
@@ -545,77 +400,36 @@ func cmdATT(args []string) {
 	demo := fs.String("demo", "inconsistency", "inconsistency | tracking")
 	traceOut := fs.String("trace-out", "", "write the event trace to this file as JSONL")
 	fs.Parse(args)
+	if *demo != "inconsistency" && *demo != "tracking" {
+		usageCheck(fmt.Errorf("unknown demo %q", *demo))
+	}
+	conflict := scenario.ConflictParams{Writers: [2]int{0, 1},
+		Blocks: [2]cfm.Block{{1, 2, 3, 4}, {11, 12, 13, 14}}, Slots: 10}
 
-	switch *demo {
-	case "inconsistency":
+	if *demo == "inconsistency" {
 		fmt.Println("Fig 4.1 — inconsistency WITHOUT address tracking:")
 		fmt.Println("P0 writes '1 2 3 4' and P1 writes '11 12 13 14' to the same block at slot 0.")
-		mem := cfm.NewMemory(cfm.Config{Processors: 4, BankCycle: 1, WordWidth: 64}, nil)
-		clk := cfm.NewClock()
-		clk.Register(mem)
-		mem.StartWrite(0, 0, 0, cfm.Block{1, 2, 3, 4}, nil)
-		mem.StartWrite(0, 1, 0, cfm.Block{11, 12, 13, 14}, nil)
-		clk.Run(10)
-		fmt.Printf("final block: %v  ← torn between the two writers\n\n", mem.PeekBlock(0))
-		fallthrough
-	case "tracking":
-		fmt.Println("Fig 4.3 — the same conflict WITH address tracking:")
-		trace := cfm.NewTrace()
-		tr := cfm.NewTracked(4, cfm.LatestWins, trace)
-		clk := cfm.NewClock()
-		clk.Register(tr)
-		tr.StartWrite(0, 0, 0, cfm.Block{1, 2, 3, 4}, nil)
-		tr.StartWrite(0, 1, 0, cfm.Block{11, 12, 13, 14}, nil)
-		clk.Run(12)
-		fmt.Printf("final block: %v  ← exactly one writer completed\n", tr.PeekBlock(0))
-		fmt.Println("\nevent trace:")
-		for _, e := range trace.Events() {
-			fmt.Println(" ", e)
-		}
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err == nil {
-				err = cfm.WriteTraceJSONL(f, trace)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "cfmsim:", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote trace to %s\n", *traceOut)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "cfmsim: unknown demo %q\n", *demo)
-		os.Exit(2)
+		fmt.Printf("final block: %v  ← torn between the two writers\n\n", scenario.Untracked(new(obsflags.Observatory), conflict))
 	}
+	fmt.Println("Fig 4.3 — the same conflict WITH address tracking:")
+	obs := &obsflags.Observatory{Trace: sim.NewTrace(), TraceOut: *traceOut}
+	conflict.Slots = 12
+	final, _, _ := scenario.Tracked(obs, conflict)
+	fmt.Printf("final block: %v  ← exactly one writer completed\n", final)
+	fmt.Println("\nevent trace:")
+	for _, e := range obs.Trace.Events() {
+		fmt.Println(" ", e)
+	}
+	fail(obs.Close()) // writes -trace-out
 }
 
 func cmdLockTransfer(args []string) {
 	fs := flag.NewFlagSet("locktransfer", flag.ExitOnError)
 	n := fs.Int("n", 4, "processors")
 	fs.Parse(args)
-	cacheCfg := cfm.CacheConfig{Processors: *n, Lines: 4, RetryDelay: 1}
-	usageCheck(cacheCfg.Validate())
+	transfer, err := scenario.LockTransfer(new(obsflags.Observatory), *n)
+	usageCheck(err)
 
-	proto := cfm.NewCacheProtocol(cacheCfg, nil)
-	lock := cfm.NewLocker(proto, 0)
-	clk := cfm.NewClock()
-	clk.Register(lock)
-	clk.Register(proto)
-
-	lock.Request(0)
-	clk.RunUntil(func() bool { return lock.Holding(0) }, 1000)
-	lock.Request(1)
-	if *n > 3 {
-		lock.Request(3)
-	}
-	clk.Run(120)
-	release := clk.Now()
-	lock.Release(0)
-	clk.RunUntil(func() bool { return lock.Holding(1) || (*n > 3 && lock.Holding(3)) }, 2000)
-	transfer := clk.Now() - release
 	fmt.Printf("Fig 5.4 — lock transfer on a %d-processor CFM cache protocol\n\n", *n)
 	fmt.Printf("transfer took %d slots ≈ %.1f block accesses of %d slots each\n",
 		transfer, float64(transfer)/float64(*n), *n)
@@ -626,135 +440,67 @@ func cmdLatency(args []string) {
 	fs := flag.NewFlagSet("latency", flag.ExitOnError)
 	config := fs.String("config", "dash", "dash (Table 5.5) | ksr1 (Table 5.6)")
 	fs.Parse(args)
+	r, err := scenario.Latency(new(obsflags.Observatory), *config)
+	usageCheck(err)
 
-	var rows []cfm.ComparisonRow
-	var title, other string
-	switch *config {
-	case "dash":
-		rows = cfm.Table55()
-		title = "Table 5.5 — read latency of CFM and DASH (16 processors, 4 clusters, 16-byte lines)"
-		other = "DASH"
-	case "ksr1":
-		rows = cfm.Table56()
-		title = "Table 5.6 — read latency of CFM and KSR1 (1024 processors, 32 clusters, 128-byte lines)"
-		other = "KSR1"
-	default:
-		fmt.Fprintf(os.Stderr, "cfmsim: unknown config %q\n", *config)
-		os.Exit(2)
+	title, other := "Table 5.5 — read latency of CFM and DASH (16 processors, 4 clusters, 16-byte lines)", "DASH"
+	if *config == "ksr1" {
+		title, other = "Table 5.6 — read latency of CFM and KSR1 (1024 processors, 32 clusters, 128-byte lines)", "KSR1"
 	}
 	fmt.Println(title)
 	fmt.Println()
 	tb := &stats.Table{Header: []string{"Read Accesses", "CFM", other}}
-	for _, r := range rows {
-		tb.AddRow(r.Access, fmt.Sprintf("%d cycles", r.CFM), fmt.Sprintf("%d cycles", r.Other))
+	for _, row := range r.Model {
+		tb.AddRow(row.Access, fmt.Sprintf("%d cycles", row.CFM), fmt.Sprintf("%d cycles", row.Other))
 	}
 	fmt.Print(tb)
 
 	// Cross-check the model against the two-level protocol simulator.
 	fmt.Println("\nsimulated on the two-level protocol engine:")
-	var hc cfm.HierConfig
+	fmt.Printf("  local cluster read:  %d cycles\n", r.Local)
+	fmt.Printf("  global memory read:  %d cycles\n", r.Global)
 	if *config == "dash" {
-		hc = cfm.HierConfig{Clusters: 4, ProcsPerCluster: 4, BankCycle: 2, L1Lines: 4, L2Lines: 8}
-	} else {
-		hc = cfm.HierConfig{Clusters: 4, ProcsPerCluster: 32, BankCycle: 2, L1Lines: 4, L2Lines: 8}
-	}
-	s := cfm.NewHierSystem(hc, nil)
-	clk := cfm.NewClock()
-	clk.Register(s)
-	measure := func(f func(done func(cfm.Slot))) int {
-		start := clk.Now()
-		var at cfm.Slot = -1
-		f(func(t cfm.Slot) { at = t })
-		clk.RunUntil(s.Idle, 100000)
-		return int(at - start)
-	}
-	// Global clean.
-	global := measure(func(done func(cfm.Slot)) {
-		s.Load(0, 0, 5, func(_ cfm.Block, t cfm.Slot) { done(t) })
-	})
-	// Local cluster (L2 now warm, different processor).
-	local := measure(func(done func(cfm.Slot)) {
-		s.Load(0, 1, 5, func(_ cfm.Block, t cfm.Slot) { done(t) })
-	})
-	fmt.Printf("  local cluster read:  %d cycles\n", local)
-	fmt.Printf("  global memory read:  %d cycles\n", global)
-	if *config == "dash" {
-		s.Store(1, 2, 9, 0, 1, nil)
-		clk.RunUntil(s.Idle, 100000)
-		dirty := measure(func(done func(cfm.Slot)) {
-			s.Load(0, 0, 9, func(_ cfm.Block, t cfm.Slot) { done(t) })
-		})
-		fmt.Printf("  dirty remote read:   %d cycles\n", dirty)
+		fmt.Printf("  dirty remote read:   %d cycles\n", r.Dirty)
 	}
 }
 
 func cmdAlloc(args []string) {
 	fs := flag.NewFlagSet("alloc", flag.ExitOnError)
-	slots := fs.Int64("slots", 100000, "simulation slots")
+	p := scenario.AllocationParams{Strategies: []string{"affine", "scatter", "random"}}
+	fs.Int64Var(&p.Slots, "slots", 100000, "simulation slots")
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
-	usageCheck(atLeast("slots", *slots, 1))
+	usageCheck(atLeast("slots", p.Slots, 1))
 	openObservatory(obs, false)
+	runs, err := scenario.Allocation(obs, p)
+	fail(err)
 
-	cfg := core.PartialConfig{
-		Processors: 32, Modules: 4, BlockWords: 16, BankCycle: 2,
-		Locality: 0.9, AccessRate: 0.04, RetryMean: 4, Seed: 1,
-	}
-	jobs := make([]core.Job, 24)
-	for i := range jobs {
-		jobs[i] = core.Job{Home: i % 2}
-	}
 	fmt.Println("§7.2 — processor allocation on a 32-processor, 4-cluster partial CFM")
 	fmt.Println("24 jobs with data on modules 0 and 1, λ = 0.9, r = 0.04")
 	fmt.Println()
 	tb := &stats.Table{Header: []string{"strategy", "placement locality", "efficiency", "retries"}}
-	for _, st := range []struct {
-		name  string
-		place func() (core.Placement, error)
-	}{
-		{"affine", func() (core.Placement, error) { return core.AllocateAffine(cfg, jobs) }},
-		{"scatter", func() (core.Placement, error) { return core.AllocateScatter(cfg, jobs) }},
-		{"random", func() (core.Placement, error) { return core.AllocateRandom(cfg, jobs, cfm.NewRNG(7)) }},
-	} {
-		pl, err := st.place()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cfmsim:", err)
-			os.Exit(1)
-		}
-		c := cfg
-		c.Homes = pl
-		p := cfm.NewPartial(c)
-		p.Instrument(obs.Reg)
-		p.RecordFlight(obs.Flight)
-		clk := obs.NewEngine()
-		clk.Register(p)
-		obs.Attach(clk)
-		clk.Run(*slots)
-		tb.AddRow(st.name, pl.LocalityOf(cfg), p.Efficiency(), p.Retries)
+	for _, r := range runs {
+		tb.AddRow(r.Strategy, r.Locality, r.Efficiency, r.Retries)
 	}
 	fmt.Print(tb)
-	closeObservatory(obs)
+	fail(obs.Close())
 }
 
 func cmdSharing(args []string) {
 	fs := flag.NewFlagSet("sharing", flag.ExitOnError)
-	rate := fs.Float64("rate", 0.02, "per-processor access rate")
-	slots := fs.Int64("slots", 100000, "simulation slots")
+	p := scenario.DefaultSharing()
+	p.Factors = []int{1, 2, 3, 4, 6, 8}
+	fs.Float64Var(&p.Rate, "rate", p.Rate, "per-processor access rate")
+	fs.Int64Var(&p.Slots, "slots", 100000, "simulation slots")
 	fs.Parse(args)
-	usageCheck(atLeast("slots", *slots, 1))
+	usageCheck(p.Validate(), atLeast("slots", p.Slots, 1))
 
 	fmt.Println("§7.2 — slot sharing: processors per AT-space division")
-	fmt.Printf("8 divisions, 16-word blocks, c=2, r=%.3f\n\n", *rate)
+	fmt.Printf("8 divisions, 16-word blocks, c=2, r=%.3f\n\n", p.Rate)
 	tb := &stats.Table{Header: []string{"sharing", "processors", "efficiency", "utilization", "accesses/slot", "retries"}}
-	for _, sharing := range []int{1, 2, 3, 4, 6, 8} {
-		s := cfm.NewShared(cfm.SharedConfig{
-			Divisions: 8, Sharing: sharing, BlockWords: 16, BankCycle: 2,
-			AccessRate: *rate, RetryMean: 4, Seed: 1,
-		})
-		clk := cfm.NewClock()
-		clk.Register(s)
-		clk.Run(*slots)
-		tb.AddRow(sharing, 8*sharing, s.Efficiency(), s.Utilization(), s.Throughput(), s.Retries)
+	for i, s := range scenario.Sharing(new(obsflags.Observatory), p) {
+		f := p.Factors[i]
+		tb.AddRow(f, 8*f, s.Efficiency(), s.Utilization(), s.Throughput(), s.Retries)
 	}
 	fmt.Print(tb)
 	fmt.Println("\nsharing=1 is the plain CFM (conflict-free); larger factors trade")
@@ -768,14 +514,32 @@ func cmdTopology(args []string) {
 	fmt.Println("§3.3 — inter-cluster topologies for 16 conflict-free clusters")
 	fmt.Println()
 	tb := &stats.Table{Header: []string{"topology", "links/diameter", "mean hops", "round trip @3 cyc/hop"}}
-	for _, topo := range []cfm.Topology{
-		cfm.FullyConnected{N: 16},
-		cfm.Hypercube{Dim: 4},
-		cfm.Mesh2D{Rows: 4, Cols: 4},
-		cfm.RingTopology{N: 16},
-	} {
-		mean := core.MeanHops(topo)
-		tb.AddRow(topo.String(), core.Diameter(topo), mean, fmt.Sprintf("%.1f cycles", 2*3*mean))
+	for _, r := range scenario.Topologies() {
+		tb.AddRow(r.Topology.String(), r.Diameter, r.MeanHops, fmt.Sprintf("%.1f cycles", 2*3*r.MeanHops))
+	}
+	fmt.Print(tb)
+}
+
+func cmdOrdering(args []string) {
+	fs := flag.NewFlagSet("ordering", flag.ExitOnError)
+	fs.Parse(args)
+	runs, err := scenario.Ordering(new(obsflags.Observatory), scenario.OrderingParams{Pairs: 10, Offsets: 6})
+	fail(err)
+
+	fmt.Println("§2.2 — issue disciplines over the CFM cache protocol, checked")
+	fmt.Println("against the formal consistency conditions")
+	fmt.Println()
+	tb := &stats.Table{Header: []string{"frontend", "SC", "PC", "WC", "RC"}}
+	for _, run := range runs {
+		row := []any{run.Mode.String()}
+		for _, holds := range run.Holds {
+			if holds {
+				row = append(row, "PASS")
+			} else {
+				row = append(row, "violates")
+			}
+		}
+		tb.AddRow(row...)
 	}
 	fmt.Print(tb)
 }
@@ -833,20 +597,14 @@ func cmdObserve(args []string) {
 			proto.Load(p, off, nil)
 		}
 	}
-	if err := obs.MaybeResume(clk); err != nil {
-		fmt.Fprintln(os.Stderr, "cfmsim:", err)
-		os.Exit(1)
-	}
+	fail(obs.MaybeResume(clk))
 	// Run to the -slots target: a resumed run continues from its
 	// checkpoint slot, so checkpointing at -slots S and resuming with
 	// -slots T > S reproduces an uninterrupted T-slot run bit for bit.
 	if left := *slots - int64(clk.Now()); left > 0 {
 		clk.Run(left)
 	}
-	if err := obs.MaybeCheckpoint(clk); err != nil {
-		fmt.Fprintln(os.Stderr, "cfmsim:", err)
-		os.Exit(1)
-	}
+	fail(obs.MaybeCheckpoint(clk))
 
 	fmt.Printf("simulation observatory — %d slots, %d processors, %d modules, hot=%.2f\n\n",
 		*slots, *n, *modules, *hot)
@@ -862,49 +620,7 @@ func cmdObserve(args []string) {
 		len(snap.Counters), len(snap.Gauges), len(snap.Histograms), snap.Digest())
 	fmt.Printf("conventional efficiency %.3f; network backlog %d packets\n",
 		conv.Efficiency(), net.QueuedPackets())
-	closeObservatory(obs)
-}
-
-func cmdOrdering(args []string) {
-	fs := flag.NewFlagSet("ordering", flag.ExitOnError)
-	fs.Parse(args)
-
-	fmt.Println("§2.2 — issue disciplines over the CFM cache protocol, checked")
-	fmt.Println("against the formal consistency conditions")
-	fmt.Println()
-	tb := &stats.Table{Header: []string{"frontend", "SC", "PC", "WC", "RC"}}
-	for _, mode := range []cfm.Ordering{cfm.StrictOrder, cfm.BufferedOrder, cfm.WeakOrder, cfm.ReleaseOrder} {
-		proto := cfm.NewCacheProtocol(cfm.CacheConfig{Processors: 4, Lines: 8, RetryDelay: 1}, nil)
-		clk := cfm.NewClock()
-		fe := cfm.NewFrontend(proto, clk, 0, mode)
-		clk.Register(fe)
-		clk.Register(proto)
-		for j := 0; j < 10; j++ {
-			fe.Store(j%6, 0, cfm.Word(j))
-			fe.Load((j+1)%6, 0, nil)
-		}
-		if mode == cfm.ReleaseOrder {
-			// Exercise the acquire/release split so RC's extra freedom
-			// (an acquire bypassing buffered stores) is visible.
-			fe.Store(0, 0, 99)
-			fe.Acquire(7)
-		}
-		clk.RunUntil(fe.Idle, 100000)
-		exec := cfm.FrontendExecution(fe)
-		row := []any{mode.String()}
-		for _, m := range []cfm.ConsistencyModel{
-			cfm.SequentialConsistency, cfm.ProcessorConsistency,
-			cfm.WeakConsistency, cfm.ReleaseConsistency,
-		} {
-			if err := cfm.CheckConsistency(m, exec); err != nil {
-				row = append(row, "violates")
-			} else {
-				row = append(row, "PASS")
-			}
-		}
-		tb.AddRow(row...)
-	}
-	fmt.Print(tb)
+	fail(obs.Close())
 }
 
 // cmdWaterfall runs one instrumented system with a flight recorder and
@@ -919,7 +635,29 @@ func cmdWaterfall(args []string) {
 	id := fs.String("id", "", "render one specific span (up to 16 hex digits) instead of the longest")
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
-	usageCheck(atLeast("slots", *slots, 1))
+	convCfg := cfm.ConventionalConfig{
+		Processors: 16, Modules: 8, BlockTime: 17,
+		AccessRate: *rate, RetryMean: 8, Seed: 11,
+	}
+	partialCfg := core.PartialConfig{
+		Processors: 64, Modules: 8, BlockWords: 16, BankCycle: 2,
+		Locality: 0.9, AccessRate: *rate, RetryMean: 8, Seed: 11,
+	}
+	var sysErr error
+	switch *sys {
+	case "conventional":
+		sysErr = convCfg.Validate()
+	case "partial":
+		sysErr = partialCfg.Validate()
+	case "cache":
+	default:
+		sysErr = fmt.Errorf("unknown system %q", *sys)
+	}
+	spanID, perr := strconv.ParseUint(*id, 16, 64)
+	if *id != "" && perr != nil {
+		usageCheck(fmt.Errorf("bad span id %q: %v", *id, perr))
+	}
+	usageCheck(atLeast("slots", *slots, 1), sysErr)
 	openObservatory(obs, false)
 
 	// The command needs a recorder whether or not -spans-out asked for
@@ -932,19 +670,13 @@ func cmdWaterfall(args []string) {
 	var label string
 	switch *sys {
 	case "conventional":
-		cs := cfm.NewConventional(cfm.ConventionalConfig{
-			Processors: 16, Modules: 8, BlockTime: 17,
-			AccessRate: *rate, RetryMean: 8, Seed: 11,
-		})
+		cs := cfm.NewConventional(convCfg)
 		cs.Instrument(obs.Reg)
 		cs.RecordFlight(rec)
 		clk.Register(cs)
 		label = "conventional 16p/8m"
 	case "partial":
-		p := cfm.NewPartial(core.PartialConfig{
-			Processors: 64, Modules: 8, BlockWords: 16, BankCycle: 2,
-			Locality: 0.9, AccessRate: *rate, RetryMean: 8, Seed: 11,
-		})
+		p := cfm.NewPartial(partialCfg)
 		p.Instrument(obs.Reg)
 		p.RecordFlight(rec)
 		clk.Register(p)
@@ -962,9 +694,6 @@ func cmdWaterfall(args []string) {
 			}
 		}
 		label = "CFM cache protocol 8p"
-	default:
-		fmt.Fprintf(os.Stderr, "cfmsim: unknown system %q\n", *sys)
-		os.Exit(2)
 	}
 	obs.Attach(clk)
 	clk.Run(*slots)
@@ -973,12 +702,7 @@ func cmdWaterfall(args []string) {
 	fmt.Printf("flight waterfall — %s, %d slots, %d span events (%d dropped by the ring)\n\n",
 		label, *slots, len(events), rec.Dropped())
 	if *id != "" {
-		v, err := strconv.ParseUint(*id, 16, 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cfmsim: bad span id %q: %v\n", *id, err)
-			os.Exit(2)
-		}
-		fmt.Print(cfm.FlightWaterfall(events, v))
+		fmt.Print(cfm.FlightWaterfall(events, spanID))
 	} else {
 		bds := cfm.DecomposeFlight(events)
 		// Longest first; ties broken by issue slot then ID so the
@@ -1004,7 +728,7 @@ func cmdWaterfall(args []string) {
 			att.Spans, att.Queue.P50, att.Queue.P95, att.Queue.P99,
 			att.Service.P50, att.Network.P50, att.Total.P95)
 	}
-	closeObservatory(obs)
+	fail(obs.Close())
 }
 
 // cmdBisect runs the same conventional-memory scenario on two engines —
@@ -1024,13 +748,14 @@ func cmdBisect(args []string) {
 	inject := fs.Int64("inject", -1, "inject a synthetic divergence into engine B at this slot (-1: none)")
 	window := fs.Int64("window", 4, "flight window radius (slots) dumped around the divergence")
 	fs.Parse(args)
-	usageCheck(atLeast("slots", *slots, 1))
+	cfg := cfm.ConventionalConfig{
+		Processors: 8, Modules: 8, BlockTime: 17,
+		AccessRate: *rate, RetryMean: 8, Seed: 11,
+	}
+	usageCheck(atLeast("slots", *slots, 1), cfg.Validate())
 
 	build := func(eng cfm.Engine) *cfm.FlightRecorder {
-		cs := cfm.NewConventional(cfm.ConventionalConfig{
-			Processors: 8, Modules: 8, BlockTime: 17,
-			AccessRate: *rate, RetryMean: 8, Seed: 11,
-		})
+		cs := cfm.NewConventional(cfg)
 		rec := cfm.NewFlightRecorder(cfm.DefaultFlightLimit)
 		cs.RecordFlight(rec)
 		eng.Register(cs)
@@ -1076,10 +801,7 @@ func cmdBisect(args []string) {
 		fmt.Println("(the engine equivalence guarantee at work — use -inject to plant one)")
 		return
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cfmsim:", err)
-		os.Exit(1)
-	}
+	fail(err)
 	for _, p := range res.Probes {
 		verdict := "equal"
 		if !p.Equal {

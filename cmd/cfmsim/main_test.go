@@ -66,6 +66,12 @@ func TestOutOfRangeFlagsAreUsageErrors(t *testing.T) {
 		{"observe", "-sample", "0"},
 		{"observe", "-sample", "-5"},
 		{"treesat", "-parallel", "-epoch-batch", "-1"},
+		{"sharing", "-rate", "2"},
+		{"sharing", "-rate", "-1"},
+		{"waterfall", "-rate", "3"},
+		{"waterfall", "-sys", "partial", "-rate", "2"},
+		{"waterfall", "-id", "zz"},
+		{"bisect", "-rate", "3"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			code, stdout, stderr := runCfmsim(t, args...)

@@ -423,27 +423,14 @@ func TestWorkersAutoDecisionTable(t *testing.T) {
 	}
 }
 
-// TestBarrierSpinsTunable covers the option and env-value resolution
-// plus the idle-engine regression: with a tiny spin bound every parked
-// worker must reach the cond-block path (sleeping on the pool gate)
-// shortly after a run returns — an idle engine consumes no CPU.
+// TestBarrierSpinsTunable covers the idle-engine regression: with a
+// tiny spin bound every parked worker must reach the cond-block path
+// (sleeping on the pool gate) shortly after a run returns — an idle
+// engine consumes no CPU.
 func TestBarrierSpinsTunable(t *testing.T) {
-	if got := parseBarrierSpins(""); got != defaultBarrierSpins {
-		t.Fatalf("empty env resolved to %d, want default %d", got, defaultBarrierSpins)
-	}
-	if got := parseBarrierSpins("junk"); got != defaultBarrierSpins {
-		t.Fatalf("junk env resolved to %d, want default %d", got, defaultBarrierSpins)
-	}
-	if got := parseBarrierSpins("-3"); got != defaultBarrierSpins {
-		t.Fatalf("negative env resolved to %d, want default %d", got, defaultBarrierSpins)
-	}
-	if got := parseBarrierSpins("512"); got != 512 {
-		t.Fatalf("env 512 resolved to %d", got)
-	}
-
 	const workers = 4
 	pc := NewParallelClock(workers)
-	pc.SetBarrierSpins(1) // force the cond-block path almost immediately
+	pc.cfgSpins = 1 // force the cond-block path almost immediately
 	pc.Register(newEpochComp(8, MaskAll))
 	defer pc.Close()
 	pc.Run(12)

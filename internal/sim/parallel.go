@@ -240,7 +240,7 @@ type ParallelClock struct {
 	cfgWorkers int
 	workers    int
 	// Barrier tunables: cfgArity 0 = pick from worker count; cfgSpins
-	// 0 = CFM_BARRIER_SPINS env or the default.
+	// 0 = defaultBarrierSpins (only tests set it).
 	cfgArity int
 	cfgSpins int
 	plan     [numPhases][]segment
@@ -389,15 +389,6 @@ func (pc *ParallelClock) SetEpochBatch(k int) {
 // count). Call between runs, from the owner goroutine.
 func (pc *ParallelClock) SetBarrierArity(arity int) {
 	pc.cfgArity = arity
-	pc.planned = false
-}
-
-// SetBarrierSpins overrides how long a barrier waiter spins before
-// blocking on the condition variable (0 restores the CFM_BARRIER_SPINS
-// env override or the built-in default). Call between runs, from the
-// owner goroutine.
-func (pc *ParallelClock) SetBarrierSpins(spins int) {
-	pc.cfgSpins = spins
 	pc.planned = false
 }
 
@@ -804,7 +795,7 @@ func (pc *ParallelClock) barrierShape() (arity, spins int) {
 	}
 	spins = pc.cfgSpins
 	if spins == 0 {
-		spins = envBarrierSpins()
+		spins = defaultBarrierSpins
 	}
 	return arity, spins
 }

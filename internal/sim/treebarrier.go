@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -33,11 +31,11 @@ import (
 // resetting and a fast worker re-arriving for round g+1 cannot corrupt
 // round g (all waits are monotonic >= comparisons).
 //
-// The spin phase is bounded (SetBarrierSpins / CFM_BARRIER_SPINS);
-// after it a waiter blocks on the barrier's condition variable, so an
-// idle engine — workers parked on the pool gate between runs — costs
-// no CPU. Flag writers broadcast only when the sleeper count says
-// someone is actually blocked: the store-flag-then-load-sleepers /
+// The spin phase is bounded (defaultBarrierSpins); after it a waiter
+// blocks on the barrier's condition variable, so an idle engine —
+// workers parked on the pool gate between runs — costs no CPU. Flag
+// writers broadcast only when the sleeper count says someone is
+// actually blocked: the store-flag-then-load-sleepers /
 // increment-sleepers-then-recheck-flag pair is sequentially consistent
 // under sync/atomic, so the wakeup cannot be lost. Panics propagate by
 // poisoning: every spin and every block recheck the poison flag, and
@@ -50,24 +48,8 @@ import (
 const barrierMaxArity = 4
 
 // defaultBarrierSpins bounds the spin phase of a barrier wait before
-// the waiter blocks on the condition variable. Override per engine with
-// SetBarrierSpins or process-wide with CFM_BARRIER_SPINS.
+// the waiter blocks on the condition variable.
 const defaultBarrierSpins = 2048
-
-// envBarrierSpins reads the CFM_BARRIER_SPINS override once per
-// process; invalid or non-positive values fall back to the default.
-var envBarrierSpins = sync.OnceValue(func() int {
-	return parseBarrierSpins(os.Getenv("CFM_BARRIER_SPINS"))
-})
-
-// parseBarrierSpins maps a CFM_BARRIER_SPINS value to a spin bound;
-// empty, invalid, or non-positive values fall back to the default.
-func parseBarrierSpins(v string) int {
-	if n, err := strconv.Atoi(v); err == nil && n > 0 {
-		return n
-	}
-	return defaultBarrierSpins
-}
 
 // pickArity selects the tree fan-in for n workers: flat-ish trees for
 // the small pools this simulator typically runs (one round of remote
