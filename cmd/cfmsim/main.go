@@ -85,7 +85,8 @@ func usage() {
 	}
 	fmt.Fprint(os.Stderr, "\nthe simulation-heavy commands (efficiency, treesat, alloc, observe, waterfall)\n"+
 		"accept the engine and observability flags; results are the same, bit for bit,\n"+
-		"under every engine flag:\n")
+		"under every engine flag. -resume and -checkpoint-out need a command that runs\n"+
+		"one engine (observe, waterfall):\n")
 	fs := flag.NewFlagSet("", flag.ContinueOnError)
 	obsflags.Flags(fs)
 	fs.SetOutput(os.Stderr)
@@ -125,6 +126,15 @@ func flagError(name string, v int, err error) error {
 func atLeast(name string, v, least int64) error {
 	if v < least {
 		return fmt.Errorf("-%s %d: must be at least %d", name, v, least)
+	}
+	return nil
+}
+
+// oneEngine rejects -resume and -checkpoint-out on a command that runs
+// several engines: one checkpoint file holds one engine's state.
+func oneEngine(obs *obsflags.Observatory) error {
+	if obs.Resume != "" || obs.CheckpointOut != "" {
+		return errors.New("-resume and -checkpoint-out need a one-engine command (observe, waterfall)")
 	}
 	return nil
 }
@@ -278,7 +288,7 @@ func cmdEfficiency(args []string) {
 	fs.Int64Var(&p.Slots, "slots", 300000, "simulation slots per point")
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
-	usageCheck(atLeast("steps", int64(*steps), 1), atLeast("slots", p.Slots, 1), p.Validate())
+	usageCheck(atLeast("steps", int64(*steps), 1), atLeast("slots", p.Slots, 1), p.Validate(), oneEngine(obs))
 	openObservatory(obs, false)
 
 	fmt.Printf("Fig %s — memory access efficiency (analytic model, §3.4)\n\n", p.Fig)
@@ -358,7 +368,7 @@ func cmdTreeSat(args []string) {
 	fs.Int64Var(&p.Slots, "slots", p.Slots, "simulation slots")
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
-	usageCheck(p.Validate(), atLeast("slots", p.Slots, 1))
+	usageCheck(p.Validate(), atLeast("slots", p.Slots, 1), oneEngine(obs))
 	openObservatory(obs, false)
 
 	fmt.Printf("Fig 2.1 — tree saturation from a hot spot (%dx%d buffered omega, rate %.2f)\n\n", p.Terminals, p.Terminals, p.Rate)
@@ -470,7 +480,7 @@ func cmdAlloc(args []string) {
 	fs.Int64Var(&p.Slots, "slots", 100000, "simulation slots")
 	obs := obsflags.Flags(fs)
 	fs.Parse(args)
-	usageCheck(atLeast("slots", p.Slots, 1))
+	usageCheck(atLeast("slots", p.Slots, 1), oneEngine(obs))
 	openObservatory(obs, false)
 	runs, err := scenario.Allocation(obs, p)
 	fail(err)
@@ -661,11 +671,11 @@ func cmdWaterfall(args []string) {
 	openObservatory(obs, false)
 
 	// The command needs a recorder whether or not -spans-out asked for
-	// an export file.
-	rec := obs.Flight
-	if rec == nil {
-		rec = cfm.NewFlightRecorder(obs.SpansLimit)
+	// an export file; the observatory attaches it to the checkpoint.
+	if obs.Flight == nil {
+		obs.Flight = cfm.NewFlightRecorder(obs.SpansLimit)
 	}
+	rec := obs.Flight
 	clk := obs.NewEngine()
 	var label string
 	switch *sys {
@@ -696,7 +706,13 @@ func cmdWaterfall(args []string) {
 		label = "CFM cache protocol 8p"
 	}
 	obs.Attach(clk)
-	clk.Run(*slots)
+	// A -resume checkpoint overwrites the cache traffic injected above.
+	fail(obs.MaybeResume(clk))
+	// Run to the -slots target, as observe does.
+	if left := *slots - int64(clk.Now()); left > 0 {
+		clk.Run(left)
+	}
+	fail(obs.MaybeCheckpoint(clk))
 
 	events := rec.Events()
 	fmt.Printf("flight waterfall — %s, %d slots, %d span events (%d dropped by the ring)\n\n",

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -72,6 +73,12 @@ func TestOutOfRangeFlagsAreUsageErrors(t *testing.T) {
 		{"waterfall", "-sys", "partial", "-rate", "2"},
 		{"waterfall", "-id", "zz"},
 		{"bisect", "-rate", "3"},
+		{"treesat", "-slots", "100", "-resume", "/nonexistent/ck.cfm"},
+		{"treesat", "-checkpoint-out", "/nonexistent/ck.cfm"},
+		{"efficiency", "-resume", "/nonexistent/ck.cfm"},
+		{"efficiency", "-checkpoint-out", "/nonexistent/ck.cfm"},
+		{"alloc", "-resume", "/nonexistent/ck.cfm"},
+		{"alloc", "-checkpoint-out", "/nonexistent/ck.cfm"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			code, stdout, stderr := runCfmsim(t, args...)
@@ -98,5 +105,25 @@ func TestInRangeFlagsRun(t *testing.T) {
 		if code, stdout, stderr := runCfmsim(t, args...); code != 0 || stdout == "" {
 			t.Errorf("cfmsim %v: exit %d, stdout %q, stderr %q", args, code, stdout, stderr)
 		}
+	}
+}
+
+// TestWaterfallResume: waterfall checkpointed at 10 000 slots and
+// resumed to 20 000 prints exactly the uninterrupted 20 000-slot run.
+func TestWaterfallResume(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "ck.cfm")
+	if code, _, stderr := runCfmsim(t, "waterfall", "-slots", "10000", "-checkpoint-out", ck); code != 0 {
+		t.Fatalf("checkpointing run: exit %d, stderr:\n%s", code, stderr)
+	}
+	code, stdout, stderr := runCfmsim(t, "waterfall", "-slots", "20000", "-resume", ck)
+	if code != 0 {
+		t.Fatalf("resumed run: exit %d, stderr:\n%s", code, stderr)
+	}
+	want, err := os.ReadFile(goldenPath([]string{"waterfall"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stdout != string(want) {
+		t.Errorf("resumed waterfall drifted from the uninterrupted run:\n%s", firstDiff(string(want), stdout))
 	}
 }

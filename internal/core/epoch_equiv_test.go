@@ -90,7 +90,7 @@ func TestCFMemoryEpochEquivalence(t *testing.T) {
 			t.Fatalf("%+v: snapshot bytes diverged under batching", cfg)
 		}
 		// Non-vacuity: the plan must actually have amortized slots into
-		// episodes — otherwise this test only re-ran the classic body.
+		// episodes — otherwise this test only ran one-slot episodes.
 		if pc.Epochs() >= pc.SlotsFired() {
 			t.Fatalf("%+v: plan never batched: %d epochs over %d fired slots", cfg, pc.Epochs(), pc.SlotsFired())
 		}

@@ -43,13 +43,14 @@ type Observatory struct {
 	SkipAhead  bool // -skip-ahead: jump the clock over quiescent slots
 	EpochBatch int  // -epoch-batch: barrier episode bound (sim.EpochAuto = auto); needs -parallel
 
-	Reg     *metrics.Registry
-	Sampler *metrics.Sampler
-	Trace   *sim.Trace
-	Flight  *flight.Recorder   // non-nil when -spans-out is set
-	Status  *metrics.StatusVar // non-nil when -http is set
-	srv     *http.Server
-	engines []sim.Engine // every engine Attach saw, for the post-run stamp
+	Reg      *metrics.Registry
+	Sampler  *metrics.Sampler
+	Trace    *sim.Trace
+	Flight   *flight.Recorder   // non-nil when -spans-out is set
+	Status   *metrics.StatusVar // non-nil when -http is set
+	srv      *http.Server
+	engines  []sim.Engine // every engine Attach saw, for the post-run stamp
+	attached int          // how many engines Attach has seen
 }
 
 // Flags registers the observability and engine flags on fs and returns
@@ -68,7 +69,7 @@ func Flags(fs *flag.FlagSet) *Observatory {
 	fs.StringVar(&ob.Resume, "resume", "",
 		"restore engine state from this checkpoint before running")
 	fs.StringVar(&ob.SpansOut, "spans-out", "",
-		"write the flight recorder's access spans to this file: *.json gets Chrome trace-event JSON (Perfetto), anything else JSONL")
+		"write the flight recorder's access spans to this file, from the last simulation a command runs: *.json gets Chrome trace-event JSON (Perfetto), anything else JSONL")
 	fs.IntVar(&ob.SpansLimit, "spans-limit", flight.DefaultLimit,
 		"flight recorder capacity in events (the ring keeps the newest)")
 	fs.BoolVar(&ob.Parallel, "parallel", false, "run the simulation on the parallel cycle engine")
@@ -217,7 +218,9 @@ func (ob *Observatory) Open(force bool) error {
 // checkpoint state so -checkpoint-out/-resume round-trip them; a no-op
 // when observation is off. Attaching to several engines in sequence
 // appends their runs to one series (each run's samples restart at
-// slot 0).
+// slot 0), but empties the flight recorder: span IDs compose (actor,
+// slot) and every engine restarts at slot 0, so runs sharing the ring
+// would collide, and the -spans-out export holds the last run alone.
 func (ob *Observatory) Attach(eng sim.Engine) {
 	if ob.Sampler != nil {
 		ob.Sampler.Attach(eng)
@@ -229,8 +232,12 @@ func (ob *Observatory) Attach(eng sim.Engine) {
 		eng.AttachState("trace", ob.Trace)
 	}
 	if ob.Flight != nil {
+		if ob.attached > 0 {
+			ob.Flight.Reset()
+		}
 		eng.AttachState("flight", ob.Flight)
 	}
+	ob.attached++
 	if ob.Status != nil {
 		ob.Status.Attach(eng)
 	}

@@ -217,6 +217,50 @@ func TestAttachRegistersFlightState(t *testing.T) {
 	}
 }
 
+// TestAttachFurtherEngineEmptiesFlight: two engines attached in sequence
+// both restart at slot 0, so their span IDs, which compose (actor, slot),
+// would collide in one ring. The -spans-out export must hold the last
+// run alone: no span ID with two issue events.
+func TestAttachFurtherEngineEmptiesFlight(t *testing.T) {
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	ob := Flags(fs)
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	if err := fs.Parse([]string{"-spans-out", path}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ob.Open(false); err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		eng := sim.NewClock()
+		eng.Register(sim.TickerFunc(func(t sim.Slot, ph sim.Phase) {
+			if ph == sim.PhaseIssue && t%4 == 0 {
+				ob.Flight.Emit(flight.ComposeID(3, t), t, flight.StageIssue, 3, int64(run))
+			}
+		}))
+		ob.Attach(eng)
+		eng.Run(40)
+	}
+	if err := ob.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issues := map[string]int{}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	for _, line := range lines {
+		if !strings.Contains(line, `"stage":"issue"`) || !strings.HasSuffix(line, `"arg":1}`) {
+			t.Fatalf("export holds an event of the first run: %s", line)
+		}
+		issues[line[strings.Index(line, `"id":`):strings.Index(line, `,"stage"`)]]++
+	}
+	if len(lines) != 10 || len(issues) != 10 {
+		t.Fatalf("export holds %d events over %d span IDs, want the last run's 10 issues", len(lines), len(issues))
+	}
+}
+
 // writerTo adapts a strings.Builder to io.Writer (Checkpoint wants one).
 type writerTo struct{ b *strings.Builder }
 

@@ -231,8 +231,8 @@ func TestEpochEpisodeTruncation(t *testing.T) {
 	}
 }
 
-// TestEpochBatchDisabled pins SetEpochBatch(1): the classic
-// slot-at-a-time body, one bookkeeping round per slot.
+// TestEpochBatchDisabled pins SetEpochBatch(1): one-slot episodes, one
+// bookkeeping round per slot.
 func TestEpochBatchDisabled(t *testing.T) {
 	ec := newEpochComp(8, MaskAll)
 	pc := NewParallelClock(2)
@@ -249,7 +249,7 @@ func TestEpochBatchDisabled(t *testing.T) {
 }
 
 // TestEpochNonBatchablePlan: one plain serial ticker anywhere in the
-// plan must force the classic body (and still match the serial oracle).
+// plan must force one-slot episodes (and still match the serial oracle).
 func TestEpochNonBatchablePlan(t *testing.T) {
 	run := func(eng Engine) (string, []Slot) {
 		ec := newEpochComp(6, MaskAll)
@@ -277,7 +277,7 @@ func TestEpochNonBatchablePlan(t *testing.T) {
 		t.Fatal("plan with a serial ticker compiled as batchable")
 	}
 	if pc.Epochs() != 11 {
-		t.Fatalf("Epochs() = %d, want 11 classic rounds", pc.Epochs())
+		t.Fatalf("Epochs() = %d, want 11 one-slot episodes", pc.Epochs())
 	}
 }
 
@@ -351,9 +351,119 @@ func TestEpochSkipAheadAtEpisodeEdges(t *testing.T) {
 	}
 }
 
+// TestEpochSkipAheadFromQuiescentStart: a skip-ahead run that starts
+// inside a quiescent stretch jumps before its first slot at every worker
+// count, so a 2-worker pool — per-slot or batched — fires and jumps
+// exactly as one worker does.
+func TestEpochSkipAheadFromQuiescentStart(t *testing.T) {
+	run := func(workers, k int) (string, int64, int64) {
+		e := newEpochComp(8, MaskAll)
+		e.quiesceAt = 5
+		pc := NewParallelClock(workers)
+		pc.SetEpochBatch(k)
+		pc.SetSkipAhead(true)
+		pc.Register(e)
+		defer pc.Close()
+		pc.Run(5) // dense up to the quiescent stretch
+		if done := pc.Run(100); done != 100 {
+			t.Fatalf("workers=%d K=%d: Run(100) from a quiescent slot executed %d slots", workers, k, done)
+		}
+		return e.snapshot(), pc.SlotsFired(), pc.Jumps()
+	}
+	wantSnap, wantFired, wantJumps := run(1, EpochAuto)
+	if wantFired != 5 || wantJumps != 1 {
+		t.Fatalf("one worker fired %d slots in %d jumps, want 5 in 1", wantFired, wantJumps)
+	}
+	for _, k := range []int{1, 8} {
+		snap, fired, jumps := run(2, k)
+		if snap != wantSnap || fired != wantFired || jumps != wantJumps {
+			t.Fatalf("2 workers K=%d: fired %d slots in %d jumps (state %s), want one worker's %d in %d (state %s)",
+				k, fired, jumps, snap, wantFired, wantJumps, wantSnap)
+		}
+	}
+}
+
+// TestEpochBackToBackCallsStress drives a 2-worker pool and the
+// one-worker oracle through the same several hundred back-to-back Run(1),
+// Run(k), RunUntil, Step and Stop calls, on a batchable plan and on a
+// plan with a serial ticker. Consecutive calls relaunch the pool while
+// the previous run's workers are still leaving it — under -race this
+// checks that nothing a launch writes is read by those workers.
+func TestEpochBackToBackCallsStress(t *testing.T) {
+	for _, serial := range []bool{false, true} {
+		t.Run(fmt.Sprintf("serial=%v", serial), func(t *testing.T) {
+			build := func(eng *ParallelClock) (*epochComp, *[]Slot) {
+				e := newEpochComp(8, MaskAll)
+				e.stop = eng.Stop
+				eng.Register(e)
+				seen := new([]Slot)
+				if serial {
+					eng.Register(TickerFunc(func(t Slot, ph Phase) {
+						if ph == PhaseUpdate {
+							*seen = append(*seen, t)
+						}
+					}))
+				}
+				return e, seen
+			}
+			const k = 4
+			oracle, pool := NewClock(), NewParallelClock(2)
+			pool.SetEpochBatch(k)
+			defer pool.Close()
+			oe, oseen := build(oracle)
+			pe, pseen := build(pool)
+			rng := NewRNG(21)
+			for op := 0; op < 400; op++ {
+				var want, got int64
+				switch rng.Intn(5) {
+				case 0:
+					want, got = oracle.Run(1), pool.Run(1)
+				case 1:
+					n := int64(rng.Intn(3 * k))
+					want, got = oracle.Run(n), pool.Run(n)
+				case 2:
+					target := oracle.Now() + Slot(rng.Intn(6))
+					var wantHit, gotHit bool
+					want, wantHit = oracle.RunUntil(func() bool { return oracle.Now() >= target }, 4)
+					got, gotHit = pool.RunUntil(func() bool { return pool.Now() >= target }, 4)
+					if wantHit != gotHit {
+						t.Fatalf("op %d: RunUntil hit %v on the pool, %v on one worker", op, gotHit, wantHit)
+					}
+				case 3:
+					oracle.Step()
+					pool.Step()
+				case 4:
+					// Stop from inside slot now+at: one worker ends the run
+					// after that slot, a batched pool at its episode edge;
+					// the oracle then catches up to the pool's slot.
+					at := Slot(1 + rng.Intn(2*k))
+					oe.stopAt, pe.stopAt = oracle.Now()+at, pool.Now()+at
+					got = pool.Run(20)
+					if got <= int64(at) || got > int64(at)+k || (serial && got != int64(at)+1) {
+						t.Fatalf("op %d: Stop in slot +%d ended the pool run after %d slots", op, at, got)
+					}
+					want = oracle.Run(int64(at) + 1)
+					oe.stopAt, pe.stopAt = 0, 0
+					want += oracle.Run(got - want)
+				}
+				if got != want || pool.Now() != oracle.Now() || pool.SlotsRun() != oracle.SlotsRun() {
+					t.Fatalf("op %d: pool ran %d to slot %d (%d run), one worker %d to slot %d (%d run)",
+						op, got, pool.Now(), pool.SlotsRun(), want, oracle.Now(), oracle.SlotsRun())
+				}
+			}
+			if pe.snapshot() != oe.snapshot() || fmt.Sprint(*pseen) != fmt.Sprint(*oseen) {
+				t.Fatalf("pool diverged from one worker:\n got %s\nwant %s", pe.snapshot(), oe.snapshot())
+			}
+			if pool.Epochs() == 0 || (!serial && pe.epCalls == 0) {
+				t.Fatalf("vacuous: %d episodes, %d FinishEpoch calls", pool.Epochs(), pe.epCalls)
+			}
+		})
+	}
+}
+
 // TestEpochPoisonPropagation: a panic inside a batched episode must
 // poison the tree barrier, unwind every worker, and re-raise the
-// original value on the caller — same contract as the classic body.
+// original value on the caller — same contract as one-slot episodes.
 func TestEpochPoisonPropagation(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		func() {
@@ -381,8 +491,8 @@ func TestEpochPoisonPropagation(t *testing.T) {
 // shard-width bar for turning on worker goroutines drops from
 // autoSerialShards to autoEpochSerialShards when the compiled plan
 // epoch-batches (the per-slot coordination tax is amortized over whole
-// episodes), and stays at the classic bar when batching is off or the
-// plan has serial work.
+// episodes), and stays at the per-slot ("classic") bar when batching is
+// off or the plan has serial work.
 func TestWorkersAutoDecisionTable(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		// The table is only meaningful when "go parallel" differs from
@@ -487,8 +597,8 @@ func TestTreeNodePadding(t *testing.T) {
 // chunked budgets) through the batched engine against the serial
 // oracle. Specs build a fleet of epoch-safe shardables with varying
 // shard counts and phase masks; one spec bit can add a plain serial
-// ticker, flipping the plan to the classic body — both paths must match
-// the oracle exactly.
+// ticker, flipping the plan to one-slot episodes — both must match the
+// oracle exactly.
 func FuzzEpochSchedule(f *testing.F) {
 	f.Add([]byte{0x13, 0x25}, uint8(2), uint8(2), uint8(4), uint8(23), false)
 	f.Add([]byte{0x07}, uint8(4), uint8(4), uint8(16), uint8(40), false)

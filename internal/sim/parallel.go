@@ -39,35 +39,46 @@ import (
 // the same machine. The top-level determinism matrix (matrix_test.go)
 // proves it for every scenario of its table.
 //
-// Execution model: one worker runs the schedule inline with no
-// synchronization at all. Above that, a pool of persistent workers is
-// spawned lazily at the first parallel run and parked on the pool gate
-// between runs — a run costs no goroutine creation. All synchronization is one
-// combining-tree barrier (treebarrier.go): each worker spins on flags
-// in its own cache-line-padded tree node, arrivals combine up the tree,
-// and release propagates down by one remote write per edge, so a
-// crossing costs O(1) remote references per worker instead of fanning
-// every worker into one shared counter. Waiters spin briefly and then
-// block on a condition variable, so an idle engine consumes no CPU.
-// Barriers are inserted by the compiler only where the schedule
-// actually needs them: before parallel shard work (so it cannot
-// overtake preceding work) and before serial work that follows parallel
-// work. A schedule whose slot is one sharded segment plus its finalizer
-// costs two barrier crossings per slot, not eight.
+// Execution model: every run, at every worker count, executes one SPMD
+// episode loop (episodes). Each worker runs it — worker 0 on the
+// caller's goroutine, the others from a pool of persistent workers
+// parked on the pool gate between runs, so a run costs no goroutine
+// creation. One worker is the same loop on a one-node barrier whose
+// crossings return at once: it starts no goroutine and recovers no
+// panic, so a component's panic reaches the caller unchanged.
 //
-// Epoch batching amortizes even those. When the compiled plan consists
-// exclusively of shard work by components that declare global shard
-// closure (EpochSafe) and whose finalizers can reconstruct the serial
-// fold order over a slot range (EpochFinisher), consecutive slots fuse
-// into one barrier *episode*: each worker ticks its shard range through
-// every phase of up to K slots with no synchronization at all, then the
-// fleet settles once, worker 0 folds the whole episode's finalization
-// and clock bookkeeping, and one control-word crossing launches the
-// next episode — two crossings per K slots instead of per slot.
-// Skip-ahead jumps and Stop resolve at episode edges; a Run budget
-// truncates the final episode, so engine state between runs is always
-// at an episode boundary (which is why Checkpoint — legal only between
-// runs — never observes a half-finished episode; see state.go).
+// All synchronization is one combining-tree barrier (treebarrier.go):
+// each worker spins on flags in its own cache-line-padded tree node,
+// arrivals combine up the tree, and release propagates down by one
+// remote write per edge, so a crossing costs O(1) remote references per
+// worker instead of fanning every worker into one shared counter.
+// Waiters spin briefly and then block on a condition variable, so an
+// idle engine consumes no CPU.
+//
+// An episode is a stretch of slots between two settles. In a per-slot
+// run an episode is one slot, and the loop crosses the barriers the
+// compiler placed only where the schedule needs them: before parallel
+// shard work (so it cannot overtake preceding work) and before serial
+// work that follows parallel work. A slot that is one sharded segment
+// plus its finalizer costs two crossings, not eight. In a batched run —
+// the compiled plan is exclusively shard work by components that
+// declare global shard closure (EpochSafe) and whose finalizers can
+// reconstruct the serial fold order over a slot range (EpochFinisher) —
+// an episode is up to K slots: each worker ticks its shard range
+// through every phase of every slot with no synchronization at all,
+// and FinishEpoch replaces the per-phase finalizers. Only a worker
+// pool batches.
+//
+// Every episode ends the same way: the settle crossing (all work of
+// the episode done), worker 0's bookkeeping and decision (decide: the
+// RunUntil predicate, Stop, the skip-ahead jump, the budget, the next
+// episode's length), and one control-word crossing that publishes it.
+// Worker 0 takes the same decision before the first episode, so Stop,
+// predicates and jumps resolve at episode edges at every worker count,
+// and a Run budget truncates the final episode: engine state between
+// runs is always at an episode boundary (which is why Checkpoint —
+// legal only between runs — never observes a half-finished episode;
+// see state.go).
 
 // Shardable is the optional interface by which a composite Ticker
 // declares conflict-free shard affinity. Shards returns the number of
@@ -223,12 +234,12 @@ type segment struct {
 }
 
 // ParallelClock is the cycle engine: it owns simulated time and the
-// ordered set of components it drives. With one worker (Clock, from
-// NewClock) it executes the compiled schedule inline on the caller's
-// goroutine; with more it executes each phase with a pool of persistent
-// workers and barrier synchronization. It implements Engine; see the
-// file comment for the equivalence guarantee. Construct with NewClock
-// or NewParallelClock.
+// ordered set of components it drives, and runs them through one episode
+// loop — on the caller's goroutine alone with one worker (Clock, from
+// NewClock), with a pool of persistent workers and barrier
+// synchronization above that. It implements Engine; see the file comment
+// for the equivalence guarantee. Construct with NewClock or
+// NewParallelClock.
 //
 // Registration, Run, Step, and Close must all happen on one goroutine;
 // Stop alone is safe to call from inside a Tick on any worker.
@@ -244,40 +255,42 @@ type ParallelClock struct {
 	cfgArity int
 	cfgSpins int
 	plan     [numPhases][]segment
-	// ctrlBar makes workers sync before worker 0's end-of-slot
+	// ctrlBar makes a per-slot episode settle before worker 0's
 	// bookkeeping (needed when the slot's last work was parallel).
 	ctrlBar bool
 	planned bool
 	stopped atomic.Bool
 	// Epoch batching: epochK is the SetEpochBatch argument (EpochAuto =
 	// auto); batchable is the compiled predicate; epochFins the compiled
-	// finalizer list; slotCrossings the crossings one classic slot costs
-	// (for the crossings counter).
+	// finalizer list; slotCrossings the crossings one per-slot episode
+	// costs (for the crossings counter).
 	epochK        int
 	batchable     bool
 	epochFins     []epochFin
 	slotCrossings int
-	// Per-run state, published to workers through the pool gate.
+	// Per-run state, written by worker 0 before the gate or in decide and
+	// published to workers through the gate or the control barrier.
 	runN     int64
 	runDone  int64
 	runPred  func() bool
-	predHit  bool
-	useEpoch bool
-	epochLen int // slots in the episode being launched (useEpoch only)
+	batched  bool // this run's episodes fuse slots (see decide)
+	epochLen int  // slots in the next episode
 	// cont is the worker control word: written by worker 0 between the
-	// end-of-slot (or end-of-episode) barriers, read by everyone after
-	// them.
+	// settle and control barriers, and only there — a worker of the
+	// previous run may still be reading it until the next gate — read by
+	// everyone after them.
 	cont bool
 	// Panic collection.
 	panicMu  sync.Mutex
 	panicVal any
-	// Persistent worker pool (nil until the first parallel run).
+	// Persistent worker pool (nil until the first run; one node and no
+	// goroutine at one worker).
 	pool   *workerPool
 	sense0 uint64 // worker 0's barrier sense, persists across runs
 	// skipAhead enables the event-horizon clock; hplan is the compiled
-	// horizon-fold list. Only worker 0 reads them (in the end-of-slot
-	// bookkeeping, between the control barriers); the other workers pick
-	// a jump up by re-reading pc.now after the control word barrier.
+	// horizon-fold list. Only worker 0 reads them (in decide); the other
+	// workers pick a jump up by re-reading pc.now after the control word
+	// barrier.
 	skipAhead bool
 	hplan     []horizonEntry
 	// extras are the harness-attached Staters snapshotted alongside the
@@ -316,9 +329,9 @@ type workerPool struct {
 // NewParallelClock returns the engine at slot 0. workers > 0 fixes the
 // worker count; WorkersAuto (0) sizes it from the compiled schedule
 // (serial below the autoSerialShards threshold, else GOMAXPROCS);
-// workers < 0 selects GOMAXPROCS unconditionally. workers == 1 executes
-// the schedule inline with no goroutines: the serial engine NewClock
-// returns.
+// workers < 0 selects GOMAXPROCS unconditionally. workers == 1 runs the
+// episode loop on the caller's goroutine alone: the serial engine
+// NewClock returns.
 func NewParallelClock(workers int) *ParallelClock {
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -349,24 +362,24 @@ func (pc *ParallelClock) SlotsFired() int64 { return pc.slotsFired }
 func (pc *ParallelClock) Jumps() int64 { return pc.jumps }
 
 // BarrierCrossings reports how many barrier crossings the full worker
-// complement has paid during parallel runs over this engine's lifetime
-// (serial-fallback slots cost none; the pool gate is not counted). Read
-// from the owner goroutine, between runs. Not checkpointed.
+// complement has paid during pool runs over this engine's lifetime (a
+// one-worker run crosses none; the pool gate is not counted). Read from
+// the owner goroutine, between runs. Not checkpointed.
 func (pc *ParallelClock) BarrierCrossings() int64 { return pc.crossings }
 
-// Epochs reports how many barrier episodes (batched multi-slot episodes
-// AND classic single-slot rounds) parallel runs have executed. The
-// batching win is visible as Epochs << SlotsFired. Read from the owner
-// goroutine, between runs. Not checkpointed.
+// Epochs reports how many episodes (batched multi-slot AND per-slot)
+// pool runs have executed; a one-worker run counts none. The batching
+// win is visible as Epochs << SlotsFired. Read from the owner goroutine,
+// between runs. Not checkpointed.
 func (pc *ParallelClock) Epochs() int64 { return pc.epochs }
 
 // SetSkipAhead enables or disables the event-horizon clock. Call between
 // runs, from the owner goroutine. The per-component horizons are folded
-// single-threaded by worker 0 between slots; workers observe a jump as a
-// re-published pc.now through the end-of-slot barrier, so the phase
-// schedule itself is untouched and the simulated observables are
-// bit-identical to dense ticking. Under epoch batching, horizons are
-// folded at episode edges only.
+// single-threaded by worker 0 before the first episode and between
+// episodes; workers observe a jump as a re-published pc.now through the
+// control barrier, so the phase schedule itself is untouched and the
+// simulated observables are bit-identical to dense ticking. Under epoch
+// batching, horizons are folded at episode edges only.
 func (pc *ParallelClock) SetSkipAhead(on bool) { pc.skipAhead = on }
 
 // SetEpochBatch bounds the episode length of epoch batching: EpochAuto
@@ -623,17 +636,6 @@ func (pc *ParallelClock) epochCap() int64 {
 	}
 }
 
-// nextEpochLen sizes the next episode: the configured cap, truncated to
-// the remaining run budget so episodes never span a Run call (keeping
-// between-run engine state on an episode boundary).
-func (pc *ParallelClock) nextEpochLen() int {
-	k := pc.epochCap()
-	if rem := pc.runN - pc.runDone; rem < k {
-		k = rem
-	}
-	return int(k)
-}
-
 // runShards executes the global shard range [lo, hi) of a merged
 // parallel segment, skipping parked units.
 func (seg *segment) runShards(t Slot, ph Phase, lo, hi int) {
@@ -666,35 +668,10 @@ func (seg *segment) finish(t Slot, ph Phase) {
 	}
 }
 
-// stepSerial executes one slot of the compiled schedule inline — the
-// workers == 1 path and the implementation of Step.
-func (pc *ParallelClock) stepSerial() {
-	t := pc.now
-	for ph := Phase(0); ph < numPhases; ph++ {
-		for i := range pc.plan[ph] {
-			seg := &pc.plan[ph][i]
-			if seg.serial != nil {
-				for _, e := range seg.serial {
-					if e.id.Parked() {
-						continue
-					}
-					e.t.Tick(t, ph)
-				}
-				continue
-			}
-			seg.runShards(t, ph, 0, seg.total)
-			seg.finish(t, ph)
-		}
-	}
-	pc.now++
-	pc.slotsRun++
-	pc.slotsFired++
-}
-
 // jump advances the clock over the quiescent stretch ending at the
 // global next-event slot, bounded by budget, returning the slots
-// skipped. Must run single-threaded between fully settled slots (the
-// inline loop, or worker 0 between the control barriers).
+// skipped. Must run single-threaded between fully settled episodes (in
+// decide).
 func (pc *ParallelClock) jump(budget int64) int64 {
 	h := foldHorizons(pc.hplan, pc.now)
 	if h <= pc.now {
@@ -710,22 +687,15 @@ func (pc *ParallelClock) jump(budget int64) int64 {
 	return n
 }
 
-// Step executes exactly one slot (inline, without waking workers —
-// identical semantics to a one-slot Run by the equivalence guarantee).
-func (pc *ParallelClock) Step() {
-	if !pc.planned {
-		pc.compile()
-	}
-	pc.stepSerial()
-}
+// Step executes exactly one slot: Run(1).
+func (pc *ParallelClock) Step() { pc.Run(1) }
 
 // Run executes up to n slots, stopping early if Stop is called. It
 // returns the number of slots actually executed (including, under
 // skip-ahead, slots jumped over as provably quiescent).
 func (pc *ParallelClock) Run(n int64) int64 {
 	pc.stopped.Store(false)
-	done, _ := pc.run(n, nil)
-	return done
+	return pc.run(n, nil)
 }
 
 // RunUntil executes slots until pred returns true (checked between
@@ -738,43 +708,63 @@ func (pc *ParallelClock) Run(n int64) int64 {
 // state changes across a skipped stretch. A pred on Now() alone is the
 // one shape that can observe a jump — don't pair it with skip-ahead.
 func (pc *ParallelClock) RunUntil(pred func() bool, budget int64) (int64, bool) {
-	done, _ := pc.run(budget, pred)
+	done := pc.run(budget, pred)
 	return done, pred()
 }
 
-func (pc *ParallelClock) run(n int64, pred func() bool) (int64, bool) {
+// run executes one Run or RunUntil: worker 0 takes the first decision
+// on the caller, then every worker runs the episode loop. One worker
+// runs it directly, so a panic unwinds to the caller untouched; a pool
+// run releases the gate and recovers panics (see runPool).
+func (pc *ParallelClock) run(n int64, pred func() bool) int64 {
 	if !pc.planned {
 		pc.compile()
 	}
-	if pc.workers == 1 {
-		var done int64
-		for done < n {
-			if pred != nil && pred() {
-				return done, true
-			}
-			if pc.skipAhead {
-				done += pc.jump(n - done)
-				if done >= n {
-					break
-				}
-			}
-			pc.stepSerial()
-			done++
-			// Stop takes effect at the end of the slot.
-			if pred == nil && pc.stopped.Load() {
-				break
-			}
+	p := pc.ensurePool()
+	pc.runN, pc.runDone, pc.runPred = n, 0, pred
+	pc.batched = pc.workers > 1 && pc.batchable && pred == nil && pc.epochCap() > 1
+	if pc.decide() {
+		if p.n == 1 {
+			pc.episodes(0, &p.bar, &pc.sense0)
+		} else {
+			pc.runPool(p)
 		}
-		return done, false
 	}
-	return pc.runWorkers(n, pred)
+	return pc.runDone
+}
+
+// decide is worker 0's one decision, taken before the first episode and
+// at every settle, while the other workers wait at a barrier. In order:
+// the RunUntil predicate (or, in a Run, Stop) ends the run; skip-ahead
+// jumps over the quiescent stretch ahead, within the budget; an
+// exhausted budget ends the run; otherwise it sizes the next episode
+// (one slot, or in a batched run the cap truncated to the budget, so
+// episodes never span a Run call) and reports that one runs.
+func (pc *ParallelClock) decide() bool {
+	if pc.runPred != nil {
+		if pc.runPred() {
+			return false
+		}
+	} else if pc.stopped.Load() {
+		return false
+	}
+	if pc.skipAhead && pc.runDone < pc.runN {
+		pc.runDone += pc.jump(pc.runN - pc.runDone)
+	}
+	if pc.runDone >= pc.runN {
+		return false
+	}
+	pc.epochLen = 1
+	if pc.batched {
+		pc.epochLen = int(min(pc.epochCap(), pc.runN-pc.runDone))
+	}
+	return true
 }
 
 // Close retires the persistent worker pool. It is optional — an
 // abandoned clock's workers stay blocked on a condition variable and
 // cost no CPU — but lets tests and benchmarks keep the goroutine count
-// flat. The clock remains usable; the next parallel run respawns the
-// pool.
+// flat. The clock remains usable; the next run respawns the pool.
 func (pc *ParallelClock) Close() {
 	p := pc.pool
 	if p == nil {
@@ -801,7 +791,8 @@ func (pc *ParallelClock) barrierShape() (arity, spins int) {
 }
 
 // ensurePool returns a worker pool sized and shaped for the current
-// plan, retiring a stale one first.
+// plan, retiring a stale one first. At one worker the pool is one
+// barrier node and no goroutine.
 func (pc *ParallelClock) ensurePool() *workerPool {
 	arity, spins := pc.barrierShape()
 	if p := pc.pool; p != nil && p.n == pc.workers && p.arity == arity && p.spins == spins {
@@ -837,151 +828,93 @@ func (pc *ParallelClock) recordPanic(r any) {
 	pc.panicMu.Unlock()
 }
 
-// body is the SPMD slot loop every worker executes during a classic
-// (slot-at-a-time) run. Barriers follow the compiled placement,
-// identically on every worker; worker 0 alone runs serial segments,
-// finalizers, predicate checks, and the slot-count bookkeeping.
-func (pc *ParallelClock) body(w int, bar *treeBarrier, sense *uint64) {
-	t := pc.now
+// episodes is the SPMD episode loop every worker runs, at every worker
+// count. An episode covers epochLen slots from pc.now. In a per-slot run
+// (epochLen is 1) barriers follow the compiled placement, identically on
+// every worker, and worker 0 alone runs serial segments and finalizers.
+// In a batched run the plan is all EpochSafe shard work, so each worker
+// ticks its shard range through every phase of every slot with no
+// synchronization at all: nothing a worker computes is visible to
+// another worker's shards until the episode settles. Either way the
+// episode ends with the settle crossing (skipped by a per-slot episode
+// whose last work was serial), worker 0's bookkeeping and decision, and
+// the control-word crossing.
+func (pc *ParallelClock) episodes(w int, bar *treeBarrier, sense *uint64) {
 	for {
-		for ph := Phase(0); ph < numPhases; ph++ {
-			for i := range pc.plan[ph] {
-				seg := &pc.plan[ph][i]
-				if seg.barBefore {
-					bar.await(w, sense)
-				}
-				if seg.serial != nil {
-					if w == 0 {
-						for _, e := range seg.serial {
-							if e.id.Parked() {
-								continue
+		from, to := pc.now, pc.now+Slot(pc.epochLen)
+		perSlot := !pc.batched
+		for t := from; t < to; t++ {
+			for ph := Phase(0); ph < numPhases; ph++ {
+				for i := range pc.plan[ph] {
+					seg := &pc.plan[ph][i]
+					if perSlot && seg.barBefore {
+						bar.await(w, sense)
+					}
+					if seg.serial != nil {
+						if w == 0 {
+							for _, e := range seg.serial {
+								if !e.id.Parked() {
+									e.t.Tick(t, ph)
+								}
 							}
-							e.t.Tick(t, ph)
+						}
+						continue
+					}
+					seg.runShards(t, ph, w*seg.total/pc.workers, (w+1)*seg.total/pc.workers)
+					if perSlot && seg.anyFin {
+						bar.await(w, sense)
+						if w == 0 {
+							seg.finish(t, ph)
 						}
 					}
-					continue
-				}
-				lo := w * seg.total / pc.workers
-				hi := (w + 1) * seg.total / pc.workers
-				seg.runShards(t, ph, lo, hi)
-				if seg.anyFin {
-					bar.await(w, sense)
-					if w == 0 {
-						seg.finish(t, ph)
-					}
 				}
 			}
 		}
-		t++
-		if pc.ctrlBar {
-			bar.await(w, sense) // slot's parallel work complete everywhere
+		if !perSlot || pc.ctrlBar {
+			bar.await(w, sense) // settle: the episode's work is done everywhere
 		}
 		if w == 0 {
-			pc.now = t
-			pc.slotsRun++
-			pc.slotsFired++
-			pc.runDone++
-			pc.crossings += int64(pc.slotCrossings)
-			pc.epochs++
-			cont := pc.runDone < pc.runN
-			if pc.runPred != nil {
-				if pc.runPred() {
-					pc.predHit = true
-					cont = false
-				}
-			} else if pc.stopped.Load() {
-				cont = false
-			}
-			if cont && pc.skipAhead {
-				// The slot is fully settled on every worker (the control
-				// barrier above) and only worker 0 is between barriers, so
-				// the horizon fold runs single-threaded. The jump is
-				// published through pc.now; workers re-sync t from it after
-				// the control-word barrier below.
-				if skipped := pc.jump(pc.runN - pc.runDone); skipped > 0 {
-					pc.runDone += skipped
-					cont = pc.runDone < pc.runN
-				}
-			}
-			pc.cont = cont
+			pc.settle(from, to)
+			pc.cont = pc.decide()
 		}
 		bar.await(w, sense) // control word (and any jump) published
 		if !pc.cont {
 			return
 		}
-		t = pc.now
 	}
 }
 
-// bodyEpoch is the SPMD episode loop of a batched run. Each worker
-// ticks its shard range through every phase of every slot in the
-// episode with no synchronization at all — legal because the plan is
-// all EpochSafe shard work, so nothing a worker computes is visible to
-// another worker's shards until the episode settles. Two crossings per
-// episode: settle (all shard work done, worker 0 folds finalizers and
-// bookkeeping) and the control word (continue/extent of the next
-// episode published).
-func (pc *ParallelClock) bodyEpoch(w int, bar *treeBarrier, sense *uint64) {
-	from := pc.now
-	k := pc.epochLen
-	for {
-		to := from + Slot(k)
-		for t := from; t < to; t++ {
-			for ph := Phase(0); ph < numPhases; ph++ {
-				for i := range pc.plan[ph] {
-					seg := &pc.plan[ph][i]
-					lo := w * seg.total / pc.workers
-					hi := (w + 1) * seg.total / pc.workers
-					seg.runShards(t, ph, lo, hi)
-				}
-			}
-		}
-		bar.await(w, sense) // episode settle: every shard of every slot done
-		if w == 0 {
-			for _, f := range pc.epochFins {
-				if f.id.Parked() {
-					continue
-				}
+// settle is worker 0's bookkeeping for the settled episode [from, to):
+// the episode finalizers of a batched run, then the clock and the
+// counters. Crossings and episodes are counted for pool runs only.
+func (pc *ParallelClock) settle(from, to Slot) {
+	if pc.batched {
+		for _, f := range pc.epochFins {
+			if !f.id.Parked() {
 				f.f.FinishEpoch(from, to)
 			}
-			n := int64(k)
-			pc.now = to
-			pc.slotsRun += n
-			pc.slotsFired += n
-			pc.runDone += n
+		}
+	}
+	n := int64(to - from)
+	pc.now = to
+	pc.slotsRun += n
+	pc.slotsFired += n
+	pc.runDone += n
+	if pc.workers > 1 {
+		pc.epochs++
+		if pc.batched {
 			pc.crossings += 2
-			pc.epochs++
-			cont := pc.runDone < pc.runN
-			if pc.stopped.Load() {
-				cont = false
-			}
-			if cont && pc.skipAhead {
-				// Episode fully settled everywhere; same single-threaded
-				// window as the classic body's jump.
-				if skipped := pc.jump(pc.runN - pc.runDone); skipped > 0 {
-					pc.runDone += skipped
-					cont = pc.runDone < pc.runN
-				}
-			}
-			if cont {
-				pc.epochLen = pc.nextEpochLen()
-			}
-			pc.cont = cont
+		} else {
+			pc.crossings += int64(pc.slotCrossings)
 		}
-		bar.await(w, sense) // control word + next episode extent published
-		if !pc.cont {
-			return
-		}
-		from = pc.now
-		k = pc.epochLen
 	}
 }
 
 // workerLoop is the persistent worker body: park on the pool gate, run
-// the slot loop, repeat — until the pool is retired or poisoned. p.stop
-// may only be read right after the gate barrier (the owner writes it
-// before arriving there): checking it anywhere else races with Close —
-// a worker still waking from a run's final barrier could observe the
+// the episode loop, repeat — until the pool is retired or poisoned.
+// p.stop may only be read right after the gate barrier (the owner writes
+// it before arriving there): checking it anywhere else races with Close
+// — a worker still waking from a run's final barrier could observe the
 // flag and exit without its gate arrival, deadlocking the owner's
 // gather.
 func (pc *ParallelClock) workerLoop(p *workerPool, w int) {
@@ -1000,11 +933,7 @@ func (pc *ParallelClock) workerLoop(p *workerPool, w int) {
 			if p.stop {
 				return true, false
 			}
-			if pc.useEpoch {
-				pc.bodyEpoch(w, &p.bar, &sense)
-			} else {
-				pc.body(w, &p.bar, &sense)
-			}
+			pc.episodes(w, &p.bar, &sense)
 			return false, false
 		}()
 		if stop || broken {
@@ -1013,29 +942,13 @@ func (pc *ParallelClock) workerLoop(p *workerPool, w int) {
 	}
 }
 
-// runWorkers executes a run on the persistent pool: the caller becomes
-// worker 0, releases the gate, and walks the same slot loop as the
+// runPool runs the episode loop on the persistent pool: the caller
+// becomes worker 0, releases the gate, and walks the same loop as the
 // workers. On a panic anywhere the barrier is poisoned, every worker
 // unwinds, the pool is discarded, and the original panic value is
 // re-raised on the caller.
-func (pc *ParallelClock) runWorkers(n int64, pred func() bool) (int64, bool) {
-	// Decide on the caller whether slot 0 runs at all.
-	if pred != nil && pred() {
-		return 0, true
-	}
-	if n <= 0 {
-		return 0, false
-	}
-	p := pc.ensurePool()
-	pc.runN = n
-	pc.runDone = 0
-	pc.runPred = pred
-	pc.predHit = false
+func (pc *ParallelClock) runPool(p *workerPool) {
 	pc.panicVal = nil
-	pc.useEpoch = pc.batchable && pred == nil && pc.epochCap() > 1
-	if pc.useEpoch {
-		pc.epochLen = pc.nextEpochLen()
-	}
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -1044,17 +957,11 @@ func (pc *ParallelClock) runWorkers(n int64, pred func() bool) (int64, bool) {
 			}
 		}()
 		p.bar.await(0, &pc.sense0) // release the gate
-		if pc.useEpoch {
-			pc.bodyEpoch(0, &p.bar, &pc.sense0)
-		} else {
-			pc.body(0, &p.bar, &pc.sense0)
-		}
+		pc.episodes(0, &p.bar, &pc.sense0)
 	}()
-	pc.runPred = nil
 	if p.bar.poison.Load() {
 		p.wg.Wait()
 		pc.pool = nil
 		panic(fmt.Sprintf("sim: worker panic during parallel run at slot %d: %v", pc.now, pc.panicVal))
 	}
-	return pc.runDone, pc.predHit
 }

@@ -125,6 +125,8 @@ func TestParallelClockPropagatesPanic(t *testing.T) {
 					t.Fatalf("workers=%d: panic in a shard was swallowed", w)
 				} else if !strings.Contains(fmt.Sprint(r), "boom") {
 					t.Fatalf("workers=%d: panic value %v lost the original cause", w, r)
+				} else if w == 1 && r != "boom" {
+					t.Fatalf("one worker re-raised %#v; the component's own value must reach the caller", r)
 				}
 			}()
 			pc := NewParallelClock(w)

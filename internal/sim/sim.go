@@ -319,9 +319,10 @@ type Engine interface {
 	AttachState(name string, s Stater)
 }
 
-// Clock is the cycle engine at one worker: it runs the schedule inline on
-// the caller's goroutine, starts no goroutine, never batches epochs, and
-// ends a Run at the slot boundary after Stop.
+// Clock is the cycle engine at one worker: the episode loop every worker
+// count runs, on the caller's goroutine over a one-node barrier whose
+// crossings return at once. It starts no goroutine and never batches, so
+// its episodes are single slots and Stop ends a Run at the slot boundary.
 type Clock = ParallelClock
 
 type tickerEntry struct {
