@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"cfm/internal/flight"
 	"cfm/internal/memory"
@@ -61,6 +62,15 @@ type CFMemory struct {
 	cur   [][]*access
 	free  []sim.Slot // per-processor slot at which the address path frees
 	trace *sim.Trace
+	// procNames and bankNames are the trace's Who strings ("P3",
+	// "Bank12"), built once so recording an event formats only its text.
+	procNames []string
+	bankNames []string
+	// text is the scratch buffer for trace texts built in serial context
+	// (issue and bank-visit events); completion texts, built in shard
+	// context, use their stage's own buffer.
+	//cfm:no-save formatting scratch, empty between events
+	text []byte
 	// pool recycles access records per processor so the steady state
 	// allocates nothing; shard p only ever touches pool[p].
 	//cfm:rebuilt
@@ -137,6 +147,7 @@ type procStage struct {
 	uFlights  []flight.Event // StageRetire, staged in PhaseUpdate
 	completed int64
 	done      []doneEntry
+	text      []byte // completion-text scratch, like CFMemory.text
 
 	// FinishEpoch's slot-major merge cursors (preallocated; the fold
 	// must stay alloc-free).
@@ -162,7 +173,45 @@ func NewCFMemory(cfg Config, trace *sim.Trace) *CFMemory {
 	for i := range m.banks {
 		m.banks[i] = m.ar.Bank(i)
 	}
+	m.procNames = numberedNames("P", cfg.Processors)
+	m.bankNames = numberedNames("Bank", cfg.Banks())
+	if trace.Enabled() {
+		m.text = make([]byte, 0, traceTextCap)
+		for p := range m.stage {
+			m.stage[p].text = make([]byte, 0, traceTextCap)
+		}
+	}
 	return m
+}
+
+// traceTextCap bounds the trace-text scratch buffers: the longest text,
+// a bank visit with two 20-character integers, fits without growing.
+const traceTextCap = 64
+
+// numberedNames returns prefix0 … prefix(n-1).
+func numberedNames(prefix string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = prefix + strconv.Itoa(i)
+	}
+	return out
+}
+
+// accessText formats "<verb> <kind> offset <offset>" into buf — the text
+// of an access's issue and complete events.
+func accessText(buf []byte, verb string, kind AccessKind, offset int) []byte {
+	buf = append(append(append(buf[:0], verb...), ' '), kind.String()...)
+	buf = append(buf, " offset "...)
+	return strconv.AppendInt(buf, int64(offset), 10)
+}
+
+// visitText formats "<kind> word (P<proc>, offset <offset>)" into buf —
+// the text of a bank-visit event.
+func visitText(buf []byte, kind AccessKind, proc, offset int) []byte {
+	buf = append(append(buf[:0], kind.String()...), " word (P"...)
+	buf = strconv.AppendInt(buf, int64(proc), 10)
+	buf = append(buf, ", offset "...)
+	return append(strconv.AppendInt(buf, int64(offset), 10), ')')
 }
 
 // Instrument attaches registry metrics: a completed-access counter plus
@@ -294,7 +343,8 @@ func (m *CFMemory) begin(t sim.Slot, p int, a *access) {
 	m.free[p] = t + sim.Slot(m.cfg.Banks())
 	m.id.Wake()
 	if m.trace.Enabled() {
-		m.trace.Add(t, fmt.Sprintf("P%d", p), "issue %s offset %d", a.kind, a.offset)
+		m.text = accessText(m.text, "issue", a.kind, a.offset)
+		m.trace.AddEvent(sim.Event{Slot: t, Who: m.procNames[p], What: string(m.text)})
 	}
 	if m.flt.Enabled() {
 		m.flt.Emit(flight.ComposeID(p, t), t, flight.StageIssue, int32(p), int64(a.offset))
@@ -382,8 +432,8 @@ func (m *CFMemory) TickShard(t sim.Slot, ph sim.Phase, p int) {
 			}
 			st.completed++
 			if m.trace.Enabled() {
-				st.events = append(st.events, sim.Event{Slot: t, Who: fmt.Sprintf("P%d", p),
-					What: fmt.Sprintf("complete %s offset %d", a.kind, a.offset)})
+				st.text = accessText(st.text, "complete", a.kind, a.offset)
+				st.events = append(st.events, sim.Event{Slot: t, Who: m.procNames[p], What: string(st.text)})
 			}
 			if m.flt.Enabled() {
 				st.uFlights = append(st.uFlights, flight.Event{
@@ -560,7 +610,8 @@ func (m *CFMemory) replay(v *bankVisit) {
 		}
 	}
 	if m.trace.Enabled() {
-		m.trace.Add(t, fmt.Sprintf("Bank%d", bank), "%s word (P%d, offset %d)", a.kind, a.proc, a.offset)
+		m.text = visitText(m.text, a.kind, a.proc, a.offset)
+		m.trace.AddEvent(sim.Event{Slot: t, Who: m.bankNames[bank], What: string(m.text)})
 	}
 }
 

@@ -2,6 +2,8 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"cfm/internal/flight"
 	"cfm/internal/metrics"
@@ -96,6 +98,17 @@ type BufferedOmega struct {
 	// deltas into source/last-column adjustments.
 	injectCount int
 	colCount    []int
+	// occ refines the active set to switches: occ[j*occWords+w] bit b is
+	// set when the queue feeding input position w*64+b of column j is
+	// non-empty, so the sweep visits only switches with a packet waiting.
+	// full[j] counts column j's queues at capacity (the saturation
+	// tree's footprint). Both are derived from the queues, kept up to
+	// date by tryMove and the fold, and recounted by LoadState.
+	//cfm:rebuilt recounted from the restored queues
+	occ      []uint64
+	occWords int
+	//cfm:rebuilt recounted from the restored queues
+	full []int
 
 	// stage buffers per-terminal measurement deltas, folded by
 	// FinishShards.
@@ -137,7 +150,10 @@ type bufferedStage struct {
 	deliveredHot    int64
 	latencyBgTotal  int64
 	latencyHotTotal int64
-	flights         []flight.Event
+	// unfull counts pops from a full last-column queue; the fold takes
+	// them off full, which shards must not touch.
+	unfull  int
+	flights []flight.Event
 }
 
 // NewBufferedOmega builds the simulator. It panics on invalid
@@ -147,6 +163,7 @@ func NewBufferedOmega(cfg BufferedConfig) *BufferedOmega {
 		panic(err)
 	}
 	o := MustOmega(cfg.Terminals)
+	occWords := (cfg.Terminals + 63) / 64
 	b := &BufferedOmega{
 		cfg:      cfg,
 		o:        o,
@@ -156,6 +173,9 @@ func NewBufferedOmega(cfg BufferedConfig) *BufferedOmega {
 		rr:       make([]int, o.Columns()*o.SwitchesPerColumn()),
 		busy:     make([]sim.Slot, cfg.Terminals),
 		colCount: make([]int, o.Columns()),
+		occ:      make([]uint64, o.Columns()*occWords),
+		occWords: occWords,
+		full:     make([]int, o.Columns()),
 		stage:    make([]bufferedStage, cfg.Terminals),
 	}
 	seeder := sim.NewRNG(cfg.Seed)
@@ -168,6 +188,35 @@ func NewBufferedOmega(cfg BufferedConfig) *BufferedOmega {
 // colQ returns the switch-output queue at position i of column j.
 func (b *BufferedOmega) colQ(j, i int) *sim.Queue[Packet] {
 	return &b.q[j*b.cfg.Terminals+i]
+}
+
+// occupy marks input position pos of column j as fed by a non-empty
+// queue; vacate clears it.
+func (b *BufferedOmega) occupy(j, pos int) { b.occ[j*b.occWords+pos>>6] |= 1 << (pos & 63) }
+func (b *BufferedOmega) vacate(j, pos int) { b.occ[j*b.occWords+pos>>6] &^= 1 << (pos & 63) }
+
+// recount rebuilds the derived occupancy state — the switch bitmaps and
+// the full-queue counts — from the queues themselves.
+func (b *BufferedOmega) recount() {
+	k := b.o.Columns()
+	clear(b.occ)
+	clear(b.full)
+	for p := range b.inject {
+		if !b.inject[p].Empty() {
+			b.occupy(0, shuffle(p, k))
+		}
+	}
+	for j := 0; j < k; j++ {
+		for i := 0; i < b.cfg.Terminals; i++ {
+			q := b.colQ(j, i)
+			if q.Len() >= b.cfg.QueueCap {
+				b.full[j]++
+			}
+			if j+1 < k && !q.Empty() {
+				b.occupy(j+1, shuffle(i, k))
+			}
+		}
+	}
 }
 
 // Instrument attaches registry metrics: injection/delivery/latency
@@ -258,8 +307,14 @@ func (b *BufferedOmega) FinishShards(t sim.Slot, ph sim.Phase) {
 	// The deltas are summed first so each total and registry counter
 	// (an atomic) takes one add per fold, not one per terminal.
 	var injected, delivBg, delivHot, latBg, latHot int64
+	unfull := 0
 	for s := range b.stage {
 		st := &b.stage[s]
+		if st.injected > 0 {
+			// Source queue s feeds column 0's input shuffle(s).
+			b.occupy(0, shuffle(s, last+1))
+		}
+		unfull += st.unfull
 		injected += st.injected
 		delivBg += st.deliveredBg
 		delivHot += st.deliveredHot
@@ -270,7 +325,7 @@ func (b *BufferedOmega) FinishShards(t sim.Slot, ph sim.Phase) {
 		}
 		// Field-wise reset keeps the flights capacity for the next slot.
 		st.injected, st.deliveredBg, st.deliveredHot = 0, 0, 0
-		st.latencyBgTotal, st.latencyHotTotal = 0, 0
+		st.latencyBgTotal, st.latencyHotTotal, st.unfull = 0, 0, 0
 		st.flights = st.flights[:0]
 	}
 	b.Injected += injected
@@ -280,6 +335,7 @@ func (b *BufferedOmega) FinishShards(t sim.Slot, ph sim.Phase) {
 	b.LatencyHotTotal += latHot
 	b.injectCount += int(injected)
 	b.colCount[last] -= int(delivBg + delivHot)
+	b.full[last] -= unfull
 	b.mInjected.Add(injected)
 	b.mDelivBg.Add(delivBg)
 	b.mDelivHot.Add(delivHot)
@@ -301,14 +357,9 @@ func (b *BufferedOmega) FinishShards(t sim.Slot, ph sim.Phase) {
 		if b.mQueued != nil {
 			b.mQueued.Set(int64(b.QueuedPackets()))
 			b.mBacklog.Set(int64(b.SourceBacklog()))
-			full := b.FullQueues()
 			for j := range b.mStageQueue {
-				n := 0
-				for i := 0; i < b.cfg.Terminals; i++ {
-					n += b.colQ(j, i).Len()
-				}
-				b.mStageQueue[j].Set(int64(n))
-				b.mStageFull[j].Set(int64(full[j]))
+				b.mStageQueue[j].Set(int64(b.colCount[j]))
+				b.mStageFull[j].Set(int64(b.full[j]))
 			}
 		}
 	}
@@ -343,10 +394,13 @@ func (b *BufferedOmega) drainSink(t sim.Slot, m int) {
 	if t < b.busy[m] || sink.Empty() {
 		return
 	}
+	st := &b.stage[m]
+	if sink.Len() >= b.cfg.QueueCap {
+		st.unfull++
+	}
 	pk := sink.Pop()
 	b.busy[m] = t + sim.Slot(b.cfg.ServiceTime)
 	lat := int64(t + sim.Slot(b.cfg.ServiceTime) - pk.Born)
-	st := &b.stage[m]
 	if pk.Hot {
 		st.deliveredHot++
 		st.latencyHotTotal += lat
@@ -363,84 +417,95 @@ func (b *BufferedOmega) drainSink(t sim.Slot, m int) {
 	}
 }
 
-// upstreamHead returns the queue feeding input line pos of column j, or
-// nil if that queue is empty. The caller peeks the head and pops it only
-// when the move succeeds — no per-call closures.
-func (b *BufferedOmega) upstreamHead(j, pos int) *sim.Queue[Packet] {
+// upstream returns the queue feeding input line pos of column j.
+func (b *BufferedOmega) upstream(j, pos int) *sim.Queue[Packet] {
 	src := unshuffle(pos, b.o.Columns())
-	var qp *sim.Queue[Packet]
 	if j == 0 {
-		qp = &b.inject[src]
-	} else {
-		qp = b.colQ(j-1, src)
+		return &b.inject[src]
 	}
-	if qp.Empty() {
-		return nil
-	}
-	return qp
+	return b.colQ(j-1, src)
 }
 
 // advanceColumn moves up to one packet through each switch output of
 // column j, honouring queue capacities and a per-switch round-robin
-// arbiter when both inputs contend for the same output. It runs inside
-// FinishShards' sequential sweep, so the hop events tryMove emits land
-// in the recorder in deterministic order.
+// arbiter when both inputs contend for the same output. Only switches
+// with an occupied input are visited, in ascending order, so arbitration
+// matches a sweep over every switch. It runs inside FinishShards'
+// sequential sweep, so the hop events tryMove emits land in the recorder
+// in deterministic order.
 func (b *BufferedOmega) advanceColumn(t sim.Slot, j int) {
 	k := b.o.Columns()
 	type cand struct {
-		src *sim.Queue[Packet]
-		out int
+		pos, out int
 	}
-	for sw := 0; sw < b.o.SwitchesPerColumn(); sw++ {
-		var cands [2]cand
-		nc := 0
-		for in := 0; in < 2; in++ {
-			if src := b.upstreamHead(j, sw<<1|in); src != nil {
-				out := sw<<1 | (src.Peek().Dest>>(k-1-j))&1
-				cands[nc] = cand{src: src, out: out}
-				nc++
+	row := b.occ[j*b.occWords : (j+1)*b.occWords]
+	for w := range row {
+		// A snapshot of the word: moves at switch sw clear only sw's own
+		// bits of this column (and set bits of column j+1), so the
+		// snapshot stays exact for the switches still ahead.
+		word := row[w]
+		for word != 0 {
+			sw := (w<<6 + bits.TrailingZeros64(word)) >> 1
+			word &^= 3 << (sw << 1 & 63)
+			var cands [2]cand
+			nc := 0
+			for in := 0; in < 2; in++ {
+				pos := sw<<1 | in
+				if row[pos>>6]&(1<<(pos&63)) != 0 {
+					dest := b.upstream(j, pos).Peek().Dest
+					cands[nc] = cand{pos: pos, out: sw<<1 | (dest>>(k-1-j))&1}
+					nc++
+				}
 			}
-		}
-		switch nc {
-		case 0:
-			continue
-		case 1:
-			b.tryMove(t, j, cands[0].out, cands[0].src)
-		case 2:
-			if cands[0].out != cands[1].out {
-				b.tryMove(t, j, cands[0].out, cands[0].src)
-				b.tryMove(t, j, cands[1].out, cands[1].src)
+			if nc == 1 || cands[0].out != cands[1].out {
+				for _, c := range cands[:nc] {
+					b.tryMove(t, j, c.pos, c.out)
+				}
 				continue
 			}
 			// Contention for one output: alternate which input wins.
 			arb := j*b.o.SwitchesPerColumn() + sw
 			first := b.rr[arb] & 1
 			b.rr[arb]++
-			if b.tryMove(t, j, cands[first].out, cands[first].src) {
+			if b.tryMove(t, j, cands[first].pos, cands[first].out) {
 				continue
 			}
-			b.tryMove(t, j, cands[1-first].out, cands[1-first].src)
+			b.tryMove(t, j, cands[1-first].pos, cands[1-first].out)
 		}
 	}
 }
 
-// tryMove pushes src's head packet into q[j][out] if there is room,
-// consuming it from its source queue and updating the occupancy counts.
-// It reports whether the move happened.
-func (b *BufferedOmega) tryMove(t sim.Slot, j, out int, src *sim.Queue[Packet]) bool {
+// tryMove pushes the head packet at input pos of column j into q[j][out]
+// if there is room, consuming it from its source queue and updating the
+// occupancy counts, bitmaps and full counts. It reports whether the move
+// happened.
+func (b *BufferedOmega) tryMove(t sim.Slot, j, pos, out int) bool {
 	dst := b.colQ(j, out)
 	if dst.Len() >= b.cfg.QueueCap {
 		b.mBlocked.Inc() // runs inside FinishShards' sweep: deterministic
 		return false
 	}
+	src := b.upstream(j, pos)
+	if j > 0 && src.Len() >= b.cfg.QueueCap {
+		b.full[j-1]--
+	}
 	pk := src.Pop()
+	if src.Empty() {
+		b.vacate(j, pos)
+	}
 	dst.Push(pk)
+	if dst.Len() >= b.cfg.QueueCap {
+		b.full[j]++
+	}
 	if j == 0 {
 		b.injectCount--
 	} else {
 		b.colCount[j-1]--
 	}
 	b.colCount[j]++
+	if k := b.o.Columns(); j+1 < k {
+		b.occupy(j+1, shuffle(out, k))
+	}
 	if b.flt.Enabled() {
 		b.flt.Emit(pk.ID, t, flight.StageHop, int32(j), int64(out))
 	}
@@ -449,37 +514,21 @@ func (b *BufferedOmega) tryMove(t sim.Slot, j, out int, src *sim.Queue[Packet]) 
 
 // FullQueues returns, per column, how many switch-output queues are at
 // capacity — the footprint of the saturation tree.
-func (b *BufferedOmega) FullQueues() []int {
-	out := make([]int, b.o.Columns())
-	for j := range out {
-		for i := 0; i < b.cfg.Terminals; i++ {
-			if b.colQ(j, i).Len() >= b.cfg.QueueCap {
-				out[j]++
-			}
-		}
-	}
-	return out
-}
+func (b *BufferedOmega) FullQueues() []int { return slices.Clone(b.full) }
 
 // QueuedPackets returns the total number of packets buffered inside the
 // network (excluding source queues).
 func (b *BufferedOmega) QueuedPackets() int {
 	total := 0
-	for i := range b.q {
-		total += b.q[i].Len()
+	for _, n := range b.colCount {
+		total += n
 	}
 	return total
 }
 
 // SourceBacklog returns the total number of packets still waiting at the
 // processors' injection queues.
-func (b *BufferedOmega) SourceBacklog() int {
-	total := 0
-	for i := range b.inject {
-		total += b.inject[i].Len()
-	}
-	return total
-}
+func (b *BufferedOmega) SourceBacklog() int { return b.injectCount }
 
 // MeanLatencyBg returns the mean delivered latency of background
 // (non-hot-spot) packets, the quantity tree saturation destroys.

@@ -119,6 +119,7 @@ func (b *BufferedOmega) LoadState(dec *sim.StateDecoder) {
 	b.DeliveredHot = dec.I64()
 	b.LatencyBgTotal = dec.I64()
 	b.LatencyHotTotal = dec.I64()
+	b.recount()
 }
 
 // SaveState implements sim.Stater for circuit-switched occupancy: the

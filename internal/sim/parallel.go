@@ -227,6 +227,9 @@ type segment struct {
 	serial []planEntry // non-nil: worker 0 runs these in order
 	units  []parUnit   // non-nil: shards distributed across workers
 	total  int         // total shards across units
+	// cuts[w]:cuts[w+1] is worker w's shard range, cut once per compile
+	// for the resolved worker count.
+	cuts   []int
 	anyFin bool
 	// barBefore makes every worker sync before this segment's work —
 	// set by the compiler only where ordering demands it.
@@ -580,6 +583,16 @@ func (pc *ParallelClock) compile() {
 			pc.workers = 1
 		}
 	}
+	for ph := Phase(0); ph < numPhases; ph++ {
+		for i := range pc.plan[ph] {
+			if seg := &pc.plan[ph][i]; seg.units != nil {
+				seg.cuts = make([]int, pc.workers+1)
+				for w := range seg.cuts {
+					seg.cuts[w] = w * seg.total / pc.workers
+				}
+			}
+		}
+	}
 	pc.planned = true
 }
 
@@ -860,7 +873,7 @@ func (pc *ParallelClock) episodes(w int, bar *treeBarrier, sense *uint64) {
 						}
 						continue
 					}
-					seg.runShards(t, ph, w*seg.total/pc.workers, (w+1)*seg.total/pc.workers)
+					seg.runShards(t, ph, seg.cuts[w], seg.cuts[w+1])
 					if perSlot && seg.anyFin {
 						bar.await(w, sense)
 						if w == 0 {
