@@ -327,13 +327,13 @@ func BenchmarkAblationSlotSharing(b *testing.B) {
 		b.Run(fmt.Sprintf("sharing=%d", sharing), func(b *testing.B) {
 			p := catalog.DefaultSharing()
 			p.Slots, p.Factors = 60000, []int{sharing}
-			var s *cfm.Shared
+			var r catalog.SharingRun
 			for i := 0; i < b.N; i++ {
-				s = catalog.Sharing(new(obsflags.Observatory), p)[0]
+				r = catalog.Sharing(new(obsflags.Observatory), p)[0]
 			}
-			b.ReportMetric(s.Efficiency(), "efficiency")
-			b.ReportMetric(s.Utilization(), "utilization")
-			b.ReportMetric(s.Throughput(), "accesses/slot")
+			b.ReportMetric(r.Efficiency, "efficiency")
+			b.ReportMetric(r.Utilization, "utilization")
+			b.ReportMetric(r.Throughput, "accesses/slot")
 		})
 	}
 }

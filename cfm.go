@@ -127,15 +127,6 @@ func NewParallelClock(workers int) *ParallelClock { return sim.NewParallelClock(
 // bit-identical at any setting.
 const EpochAuto = sim.EpochAuto
 
-// NewEngine returns the engine with the given worker count when
-// parallel is true, else the one-worker engine NewClock returns.
-func NewEngine(parallel bool, workers int) Engine {
-	if parallel {
-		return sim.NewParallelClock(workers)
-	}
-	return sim.NewClock()
-}
-
 // NewTrace returns an empty event trace.
 func NewTrace() *Trace { return sim.NewTrace() }
 
@@ -344,9 +335,6 @@ type (
 	TradeoffRow = core.TradeoffRow
 	// SharedConfig parameterizes the §7.2 slot-sharing extension.
 	SharedConfig = core.SharedConfig
-	// Shared simulates a slot-shared CFM (several processors per
-	// AT-space division).
-	Shared = core.Shared
 	// Topology is an inter-cluster interconnection (§3.3).
 	Topology = core.Topology
 	// Job is a schedulable process with a data-affinity module (§7.2).
@@ -367,8 +355,10 @@ type (
 	Hypercube = core.Hypercube
 )
 
-// NewShared builds the slot-sharing simulator.
-func NewShared(cfg SharedConfig) *Shared { return core.NewShared(cfg) }
+// NewShared builds the slot-sharing simulator: the conventional model
+// with each processor's module fixed to its AT-space division. Read
+// Utilization and Throughput against the engine's Now() after the run.
+func NewShared(cfg SharedConfig) *Conventional { return core.NewShared(cfg) }
 
 // AllocateAffine places jobs on processors in their home clusters.
 func AllocateAffine(cfg PartialConfig, jobs []Job) (ProcPlacement, error) {

@@ -262,7 +262,7 @@ func cmdTiming(args []string) {
 	p := fs.Int("p", 0, "issuing processor")
 	slot := fs.Int("slot", 0, "issue slot")
 	fs.Parse(args)
-	usageCheck(cfg.Validate())
+	usageCheck(cfg.Validate(), atLeast("slot", int64(*slot), 0))
 	if *p < 0 || *p >= cfg.Processors {
 		usageCheck(fmt.Errorf("-p %d: processor out of range [0,%d)", *p, cfg.Processors))
 	}
@@ -508,9 +508,8 @@ func cmdSharing(args []string) {
 	fmt.Println("§7.2 — slot sharing: processors per AT-space division")
 	fmt.Printf("8 divisions, 16-word blocks, c=2, r=%.3f\n\n", p.Rate)
 	tb := &stats.Table{Header: []string{"sharing", "processors", "efficiency", "utilization", "accesses/slot", "retries"}}
-	for i, s := range scenario.Sharing(new(obsflags.Observatory), p) {
-		f := p.Factors[i]
-		tb.AddRow(f, 8*f, s.Efficiency(), s.Utilization(), s.Throughput(), s.Retries)
+	for _, r := range scenario.Sharing(new(obsflags.Observatory), p) {
+		tb.AddRow(r.Sharing, r.Processors, r.Efficiency, r.Utilization, r.Throughput, r.Retries)
 	}
 	fmt.Print(tb)
 	fmt.Println("\nsharing=1 is the plain CFM (conflict-free); larger factors trade")
@@ -667,7 +666,7 @@ func cmdWaterfall(args []string) {
 	if *id != "" && perr != nil {
 		usageCheck(fmt.Errorf("bad span id %q: %v", *id, perr))
 	}
-	usageCheck(atLeast("slots", *slots, 1), sysErr)
+	usageCheck(atLeast("slots", *slots, 1), atLeast("top", int64(*top), 0), sysErr)
 	openObservatory(obs, false)
 
 	// The command needs a recorder whether or not -spans-out asked for
@@ -758,8 +757,7 @@ func cmdBisect(args []string) {
 	fs := flag.NewFlagSet("bisect", flag.ExitOnError)
 	slots := fs.Int64("slots", 4096, "bisection upper bound (slots)")
 	rate := fs.Float64("rate", 0.05, "per-processor access rate")
-	bParallel := fs.Bool("b-parallel", false, "run engine B on the parallel cycle engine")
-	bWorkers := fs.Int("b-workers", 0, "engine B worker count (0 = auto; <0 = GOMAXPROCS)")
+	bWorkers := fs.Int("b-workers", 1, "engine B worker count (1 = one worker; 0 = auto; <0 = GOMAXPROCS)")
 	bSkip := fs.Bool("b-skip-ahead", true, "run engine B with event-horizon skip-ahead")
 	inject := fs.Int64("inject", -1, "inject a synthetic divergence into engine B at this slot (-1: none)")
 	window := fs.Int64("window", 4, "flight window radius (slots) dumped around the divergence")
@@ -768,7 +766,10 @@ func cmdBisect(args []string) {
 		Processors: 8, Modules: 8, BlockTime: 17,
 		AccessRate: *rate, RetryMean: 8, Seed: 11,
 	}
-	usageCheck(atLeast("slots", *slots, 1), cfg.Validate())
+	usageCheck(atLeast("slots", *slots, 1), atLeast("window", *window, 0), cfg.Validate())
+	if *inject >= *slots {
+		usageCheck(fmt.Errorf("-inject %d: must be below -slots %d to plant a divergence in the searched range", *inject, *slots))
+	}
 
 	build := func(eng cfm.Engine) *cfm.FlightRecorder {
 		cs := cfm.NewConventional(cfg)
@@ -780,9 +781,9 @@ func cmdBisect(args []string) {
 		eng.AttachState("flight", rec)
 		return rec
 	}
-	a := cfm.NewEngine(false, 0)
+	a := cfm.NewClock()
 	recA := build(a)
-	b := cfm.NewEngine(*bParallel, *bWorkers)
+	b := cfm.NewParallelClock(*bWorkers)
 	b.SetSkipAhead(*bSkip)
 	recB := build(b)
 	if *inject >= 0 {
@@ -810,7 +811,7 @@ func cmdBisect(args []string) {
 		return fmt.Sprintf("%016x", recOf[e].Digest())
 	}
 	fmt.Printf("bisect — conventional 8p/8m, A serial/dense vs B (parallel=%v skip-ahead=%v), %d slots\n\n",
-		*bParallel, *bSkip, *slots)
+		*bWorkers != 1, *bSkip, *slots)
 	res, err := cfm.BisectEngines(a, b, digest, cfm.Slot(*slots))
 	if errors.Is(err, cfm.ErrNoDivergence) {
 		fmt.Printf("no divergence: span digests agree through slot %d (%s)\n", *slots, digest(a))

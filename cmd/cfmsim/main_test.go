@@ -66,13 +66,18 @@ func TestOutOfRangeFlagsAreUsageErrors(t *testing.T) {
 		{"table3.5", "-banks", "3"},
 		{"observe", "-sample", "0"},
 		{"observe", "-sample", "-5"},
-		{"treesat", "-parallel", "-epoch-batch", "-1"},
+		{"treesat", "-epoch-batch", "-1"},
 		{"sharing", "-rate", "2"},
 		{"sharing", "-rate", "-1"},
 		{"waterfall", "-rate", "3"},
 		{"waterfall", "-sys", "partial", "-rate", "2"},
 		{"waterfall", "-id", "zz"},
 		{"bisect", "-rate", "3"},
+		{"timing", "-slot", "-5"},
+		{"waterfall", "-top", "-1"},
+		{"bisect", "-window", "-3"},
+		{"bisect", "-inject", "4096"},
+		{"bisect", "-slots", "100", "-inject", "200"},
 		{"treesat", "-slots", "100", "-resume", "/nonexistent/ck.cfm"},
 		{"treesat", "-checkpoint-out", "/nonexistent/ck.cfm"},
 		{"efficiency", "-resume", "/nonexistent/ck.cfm"},
@@ -101,6 +106,9 @@ func TestInRangeFlagsRun(t *testing.T) {
 		{"table3.4", "-n", "4"},
 		{"table3.5", "-banks", "16"},
 		{"headers", "-banks", "16", "-words", "1"},
+		{"timing", "-slot", "5"},
+		{"waterfall", "-slots", "2000", "-top", "0"},
+		{"bisect", "-slots", "256", "-window", "0", "-inject", "255"},
 	} {
 		if code, stdout, stderr := runCfmsim(t, args...); code != 0 || stdout == "" {
 			t.Errorf("cfmsim %v: exit %d, stdout %q, stderr %q", args, code, stdout, stderr)

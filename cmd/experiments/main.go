@@ -4,11 +4,11 @@
 // order and prints its checks. Its output is the data behind
 // EXPERIMENTS.md.
 //
-// The engine flags (-parallel, -workers, -skip-ahead, -epoch-batch) and
-// the observability flags are the shared ones of internal/obsflags.
-// Results are identical under every engine flag (the engine equivalence
-// guarantee, proven by the determinism matrix, matrix_test.go); only
-// -parallel adds a banner line. The observability flags instrument the
+// The engine flags (-workers, -skip-ahead, -epoch-batch) and the
+// observability flags are the shared ones of internal/obsflags. Results
+// are identical under every engine flag (the engine equivalence
+// guarantee, proven by the determinism matrix, matrix_test.go); only a
+// -workers other than 1 adds a banner line. The observability flags instrument the
 // simulation-heavy experiments (Figs 2.1 and 3.13–3.15, the §7.2
 // allocation runs, the Chapter 4 traces); -resume and -checkpoint-out
 // apply to the Fig 3.13 run.
@@ -40,7 +40,7 @@ func report(w io.Writer, obs *obsflags.Observatory) error {
 		return err
 	}
 	fmt.Fprintln(w, "# CFM reproduction — experiment report")
-	if obs.Parallel {
+	if obs.Workers != 1 {
 		fmt.Fprintf(w, "(simulations on the parallel cycle engine, workers=%d)\n", obs.Workers)
 	}
 	failures := 0

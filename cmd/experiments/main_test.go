@@ -56,18 +56,18 @@ func TestReportIndependentOfEngine(t *testing.T) {
 		name string
 		args []string
 	}
-	settings := []setting{{"parallel-skip-batch1", []string{"-parallel", "-workers", "2", "-skip-ahead", "-epoch-batch", "1"}}}
+	settings := []setting{{"parallel-skip-batch1", []string{"-workers", "2", "-skip-ahead", "-epoch-batch", "1"}}}
 	if !raceEnabled {
 		settings = append(settings,
 			setting{"skip-ahead", []string{"-skip-ahead"}},
-			setting{"parallel", []string{"-parallel", "-workers", "2"}},
+			setting{"parallel", []string{"-workers", "2"}},
 			setting{"resumed", []string{"-resume", ck}})
 	}
 	const banner = "(simulations on the parallel cycle engine, workers=2)\n"
 	for _, st := range settings {
 		t.Run(st.name, func(t *testing.T) {
 			got := runReport(t, st.args...)
-			if st.args[0] == "-parallel" {
+			if st.args[0] == "-workers" {
 				if !strings.Contains(got, banner) {
 					t.Fatalf("no parallel banner in:\n%s", got)
 				}

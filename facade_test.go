@@ -230,20 +230,16 @@ func TestFacadeFrontend(t *testing.T) {
 	}
 }
 
-// TestEquivEngineFacade pins the NewEngine dispatcher: parallel=false
-// must return the one-worker engine whatever the worker count, and
-// parallel=true the engine with the requested workers.
+// TestEquivEngineFacade pins the engine constructors: NewClock is the
+// one-worker engine, and NewParallelClock keeps the requested worker
+// count (WorkersAuto included).
 func TestEquivEngineFacade(t *testing.T) {
-	for _, tc := range []struct {
-		parallel      bool
-		workers, want int
-	}{{false, 0, 1}, {false, 4, 1}, {true, 2, 2}, {true, cfm.WorkersAuto, cfm.WorkersAuto}} {
-		pc, ok := cfm.NewEngine(tc.parallel, tc.workers).(*cfm.ParallelClock)
-		if !ok {
-			t.Fatalf("NewEngine(%v, %d) did not return a *ParallelClock", tc.parallel, tc.workers)
-		}
-		if pc.Workers() != tc.want {
-			t.Errorf("NewEngine(%v, %d).Workers() = %d, want %d", tc.parallel, tc.workers, pc.Workers(), tc.want)
+	if w := cfm.NewClock().Workers(); w != 1 {
+		t.Errorf("NewClock().Workers() = %d, want 1", w)
+	}
+	for _, tc := range []struct{ workers, want int }{{1, 1}, {2, 2}, {cfm.WorkersAuto, cfm.WorkersAuto}} {
+		if w := cfm.NewParallelClock(tc.workers).Workers(); w != tc.want {
+			t.Errorf("NewParallelClock(%d).Workers() = %d, want %d", tc.workers, w, tc.want)
 		}
 	}
 }

@@ -297,7 +297,9 @@ func (tr *Tracked) begin(p int, o *op) {
 	if tr.flt.Enabled() {
 		tr.flt.Emit(flight.ComposeID(p, o.issued), o.issued, flight.StageIssue, int32(p), int64(o.offset))
 	}
-	tr.trace.Add(o.started, fmt.Sprintf("P%d", p), "issue %v offset %d", o.kind, o.offset)
+	if tr.trace.Enabled() {
+		tr.trace.Add(o.started, fmt.Sprintf("P%d", p), "issue %v offset %d", o.kind, o.offset)
+	}
 }
 
 // bankAt returns the bank processor p is connected to at slot t (c = 1).
@@ -416,7 +418,9 @@ func (tr *Tracked) visitRead(t sim.Slot, o *op, b int) {
 		if tr.flt.Enabled() {
 			tr.flt.Emit(flight.ComposeID(o.proc, o.issued), t, flight.StageATTRetry, int32(b), int64(o.restarts))
 		}
-		tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "%v restart at bank %d", o.kind, b)
+		if tr.trace.Enabled() {
+			tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "%v restart at bank %d", o.kind, b)
+		}
 		// Fall through: the current bank becomes the first bank of the
 		// restarted cycle and is read this very slot.
 	}
@@ -444,7 +448,9 @@ func (tr *Tracked) visitRead(t sim.Slot, o *op, b int) {
 	o.n = 0
 	o.passed0 = false
 	o.started = t + 1
-	tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "swap enters write phase")
+	if tr.trace.Enabled() {
+		tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "swap enters write phase")
+	}
 }
 
 // comparingSet returns the ATT index range [lo, hi) a write with n banks
@@ -485,7 +491,9 @@ func (tr *Tracked) visitWrite(t sim.Slot, o *op, b int) {
 	if o.n == 0 {
 		// First bank of this attempt: insert the offset at the ATT head.
 		tr.pending[b] = entry{valid: true, offset: o.offset, swap: o.kind == OpSwap}
-		tr.trace.Add(t, fmt.Sprintf("ATT%d", b), "insert offset %d (%v)", o.offset, o.kind)
+		if tr.trace.Enabled() {
+			tr.trace.Add(t, fmt.Sprintf("ATT%d", b), "insert offset %d (%v)", o.offset, o.kind)
+		}
 	}
 	if ok := tr.ar.Write(t, b, o.offset, o.writeBuf[b]); !ok {
 		panic(fmt.Sprintf("att: bank %d busy at slot %d", b, t))
@@ -528,11 +536,15 @@ func (tr *Tracked) resolveWriteConflict(t sim.Slot, o *op, b int, hit entry) {
 		if tr.flt.Enabled() {
 			tr.flt.Emit(flight.ComposeID(o.proc, o.issued), t, flight.StageATTDefer, int32(b), int64(o.restarts))
 		}
-		tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "write restart at bank %d", b)
+		if tr.trace.Enabled() {
+			tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "write restart at bank %d", b)
+		}
 	default:
 		// Write-write: the lower-priority write aborts (§4.1.2, Fig. 4.6f).
 		tr.AbortedWrites++
-		tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "write abort at bank %d", b)
+		if tr.trace.Enabled() {
+			tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "write abort at bank %d", b)
+		}
 		tr.finish(t, o, Result{Outcome: Aborted, Restarts: o.restarts, At: t})
 	}
 }
@@ -552,7 +564,9 @@ func (tr *Tracked) restartSwap(t sim.Slot, o *op, b int) {
 	if tr.flt.Enabled() {
 		tr.flt.Emit(flight.ComposeID(o.proc, o.issued), t, flight.StageATTRetry, int32(b), int64(o.restarts))
 	}
-	tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "swap restart at bank %d", b)
+	if tr.trace.Enabled() {
+		tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "swap restart at bank %d", b)
+	}
 }
 
 // finish completes an operation and frees its processor.
@@ -564,8 +578,10 @@ func (tr *Tracked) finish(t sim.Slot, o *op, r Result) {
 	if tr.flt.Enabled() {
 		tr.flt.Emit(flight.ComposeID(o.proc, o.issued), t, flight.StageRetire, int32(o.proc), int64(t-o.issued))
 	}
-	tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "%v %s", o.kind,
-		map[Outcome]string{Completed: "complete", Aborted: "aborted"}[r.Outcome])
+	if tr.trace.Enabled() {
+		tr.trace.Add(t, fmt.Sprintf("P%d", o.proc), "%v %s", o.kind,
+			map[Outcome]string{Completed: "complete", Aborted: "aborted"}[r.Outcome])
+	}
 	if o.done != nil {
 		o.done(r)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"cfm/internal/memory"
 	"cfm/internal/sim"
 )
 
@@ -14,13 +15,15 @@ func sharedCfg(sharing int, rate float64) SharedConfig {
 	}
 }
 
-func runShared(t *testing.T, cfg SharedConfig, slots int64) *Shared {
+// runShared runs cfg densely for slots and returns the system with the
+// elapsed slot count its utilization and throughput are read against.
+func runShared(t *testing.T, cfg SharedConfig, slots int64) (*memory.Conventional, sim.Slot) {
 	t.Helper()
 	s := NewShared(cfg)
 	clk := sim.NewClock()
 	clk.Register(s)
 	clk.Run(slots)
-	return s
+	return s, clk.Now()
 }
 
 func TestSharedConfigValidate(t *testing.T) {
@@ -58,7 +61,7 @@ func TestSharedConfigValidate(t *testing.T) {
 // TestSharedOneIsConflictFree: sharing = 1 is the plain CFM — zero
 // retries, efficiency 1.
 func TestSharedOneIsConflictFree(t *testing.T) {
-	s := runShared(t, sharedCfg(1, 0.05), 200000)
+	s, _ := runShared(t, sharedCfg(1, 0.05), 200000)
 	if s.Completed == 0 {
 		t.Fatal("nothing completed")
 	}
@@ -70,7 +73,7 @@ func TestSharedOneIsConflictFree(t *testing.T) {
 // TestSharedConflictsAppear: sharing > 1 introduces the conflicts §7.2
 // accepts as the price of utilization.
 func TestSharedConflictsAppear(t *testing.T) {
-	s := runShared(t, sharedCfg(4, 0.05), 200000)
+	s, _ := runShared(t, sharedCfg(4, 0.05), 200000)
 	if s.Retries == 0 {
 		t.Fatal("sharing=4 at r=0.05 produced no conflicts")
 	}
@@ -84,13 +87,13 @@ func TestSharedConflictsAppear(t *testing.T) {
 func TestSharedUtilizationRises(t *testing.T) {
 	var prevUtil, prevTput float64
 	for _, sharing := range []int{1, 2, 4} {
-		s := runShared(t, sharedCfg(sharing, 0.02), 200000)
-		if u := s.Utilization(); u <= prevUtil {
+		s, now := runShared(t, sharedCfg(sharing, 0.02), 200000)
+		if u := s.Utilization(now); u <= prevUtil {
 			t.Fatalf("sharing=%d utilization %v not above %v", sharing, u, prevUtil)
 		} else {
 			prevUtil = u
 		}
-		if tp := s.Throughput(); tp <= prevTput {
+		if tp := s.Throughput(now); tp <= prevTput {
 			t.Fatalf("sharing=%d throughput %v not above %v", sharing, tp, prevTput)
 		} else {
 			prevTput = tp
@@ -103,7 +106,7 @@ func TestSharedUtilizationRises(t *testing.T) {
 func TestSharedEfficiencyFalls(t *testing.T) {
 	var prev = 1.1
 	for _, sharing := range []int{1, 2, 4} {
-		s := runShared(t, sharedCfg(sharing, 0.03), 200000)
+		s, _ := runShared(t, sharedCfg(sharing, 0.03), 200000)
 		if e := s.Efficiency(); e >= prev {
 			t.Fatalf("sharing=%d efficiency %v not below %v", sharing, e, prev)
 		} else {
@@ -113,16 +116,16 @@ func TestSharedEfficiencyFalls(t *testing.T) {
 }
 
 func TestSharedDeterministic(t *testing.T) {
-	a := runShared(t, sharedCfg(2, 0.03), 50000)
-	b := runShared(t, sharedCfg(2, 0.03), 50000)
+	a, _ := runShared(t, sharedCfg(2, 0.03), 50000)
+	b, _ := runShared(t, sharedCfg(2, 0.03), 50000)
 	if a.Completed != b.Completed || a.Retries != b.Retries {
 		t.Fatal("same seed differed")
 	}
 }
 
 func TestSharedZeroRate(t *testing.T) {
-	s := runShared(t, sharedCfg(2, 0), 10000)
-	if s.Completed != 0 || s.Utilization() != 0 || s.Throughput() != 0 {
+	s, now := runShared(t, sharedCfg(2, 0), 10000)
+	if s.Completed != 0 || s.Utilization(now) != 0 || s.Throughput(now) != 0 {
 		t.Fatal("traffic at rate 0")
 	}
 	if s.Efficiency() != 1 {
@@ -149,8 +152,39 @@ func TestSharedOnlySameDivisionConflicts(t *testing.T) {
 		Divisions: 8, Sharing: 1, BlockWords: 16, BankCycle: 2,
 		AccessRate: 0.5, RetryMean: 2, Seed: 5,
 	}
-	s := runShared(t, cfg, 100000)
+	s, _ := runShared(t, cfg, 100000)
 	if s.Retries != 0 {
 		t.Fatalf("cross-division conflicts: %d", s.Retries)
+	}
+}
+
+// TestSharedHonoursSkipAhead: a low-rate sharing run under skip-ahead
+// jumps the clock over quiescent slots and measures exactly what the
+// dense run measures.
+func TestSharedHonoursSkipAhead(t *testing.T) {
+	run := func(skip bool) (*memory.Conventional, *sim.Clock) {
+		s := NewShared(sharedCfg(3, 0.002))
+		clk := sim.NewClock()
+		clk.SetSkipAhead(skip)
+		clk.Register(s)
+		clk.Run(50000)
+		return s, clk
+	}
+	dense, dclk := run(false)
+	skip, sclk := run(true)
+	if fired, ran := sclk.SlotsFired(), sclk.SlotsRun(); fired >= ran {
+		t.Fatalf("skip-ahead fired %d of %d slots: the clock never jumped", fired, ran)
+	}
+	if dense.Completed == 0 || dense.Retries == 0 {
+		t.Fatalf("vacuous run: %d completed, %d retries", dense.Completed, dense.Retries)
+	}
+	want := []float64{float64(dense.Completed), float64(dense.Retries), dense.Efficiency(),
+		dense.Utilization(dclk.Now()), dense.Throughput(dclk.Now())}
+	got := []float64{float64(skip.Completed), float64(skip.Retries), skip.Efficiency(),
+		skip.Utilization(sclk.Now()), skip.Throughput(sclk.Now())}
+	for i, name := range []string{"Completed", "Retries", "Efficiency", "Utilization", "Throughput"} {
+		if got[i] != want[i] {
+			t.Errorf("%s: skip-ahead %v, dense %v", name, got[i], want[i])
+		}
 	}
 }

@@ -13,31 +13,6 @@ import (
 // rather than silently dropping a callback that the resumed run would
 // then never fire.
 
-// saveProcs encodes a []procState with its length.
-func saveProcs(enc *sim.StateEncoder, s []procState) {
-	enc.Int(len(s))
-	for _, v := range s {
-		enc.Int(int(v))
-	}
-}
-
-// loadProcs restores a []procState in place (length fixed by
-// configuration).
-func loadProcs(dec *sim.StateDecoder, s []procState) {
-	if n := dec.Count(); n != len(s) && dec.Err() == nil {
-		dec.Failf("core: snapshot has %d processor states, system has %d", n, len(s))
-		return
-	}
-	for i := range s {
-		v := dec.Int()
-		if v < int(procIdle) || v > int(procInFlight) {
-			dec.Failf("core: invalid processor state %d", v)
-			return
-		}
-		s[i] = procState(v)
-	}
-}
-
 // SetDoneRebinder installs the hook LoadState uses to reconstruct the
 // completion callbacks of in-flight accesses. A harness that checkpoints
 // while accesses with callbacks are in flight must install one before
@@ -354,50 +329,4 @@ func (p *Partial) loadSlots(dec *sim.StateDecoder, s []sim.Slot) {
 	for i := range s {
 		s[p.idx(i)] = dec.Slot()
 	}
-}
-
-// SaveState implements sim.Stater for the slot-shared CFM (§7.2): the
-// RNG, per-division port clocks, every processor automaton with its
-// timing and backlog, and the measurements. The configuration is not
-// serialized — restore targets an identically built system.
-func (s *Shared) SaveState(enc *sim.StateEncoder) {
-	enc.RNG(s.rng)
-	sim.SaveSlots(enc, s.ports)
-	saveProcs(enc, s.state)
-	sim.SaveSlots(enc, s.wakeAt)
-	sim.SaveSlots(enc, s.doneAt)
-	sim.SaveSlots(enc, s.issuedAt)
-	sim.SaveSlots(enc, s.nextArrival)
-	enc.Int(len(s.backlog))
-	for i := range s.backlog {
-		sim.SaveQueue(enc, &s.backlog[i], func(e *sim.StateEncoder, v sim.Slot) { e.Slot(v) })
-	}
-	enc.I64(s.Completed)
-	enc.I64(s.Retries)
-	enc.I64(s.TotalLatency)
-	enc.I64(s.busySlots)
-	enc.Slot(s.horizon)
-}
-
-// LoadState implements sim.Stater.
-func (s *Shared) LoadState(dec *sim.StateDecoder) {
-	dec.RNG(s.rng)
-	sim.LoadSlots(dec, s.ports)
-	loadProcs(dec, s.state)
-	sim.LoadSlots(dec, s.wakeAt)
-	sim.LoadSlots(dec, s.doneAt)
-	sim.LoadSlots(dec, s.issuedAt)
-	sim.LoadSlots(dec, s.nextArrival)
-	if n := dec.Count(); n != len(s.backlog) && dec.Err() == nil {
-		dec.Failf("core: snapshot has %d backlogs, system has %d", n, len(s.backlog))
-		return
-	}
-	for i := range s.backlog {
-		sim.LoadQueue(dec, &s.backlog[i], func(d *sim.StateDecoder) sim.Slot { return d.Slot() })
-	}
-	s.Completed = dec.I64()
-	s.Retries = dec.I64()
-	s.TotalLatency = dec.I64()
-	s.busySlots = dec.I64()
-	s.horizon = dec.Slot()
 }

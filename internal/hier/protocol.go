@@ -50,7 +50,9 @@ func (s *System) release(cl, p int, t sim.Slot) {
 func (s *System) loadAttempt(t sim.Slot, cl, p, offset int, done func(memory.Block, sim.Slot)) {
 	if st := s.L1State(cl, p, offset); st != cache.Invalid {
 		s.L1Hits++
-		s.trace.Add(t, s.pname(cl, p), "L1 %v hit block %d", st, offset)
+		if s.trace.Enabled() {
+			s.trace.Add(t, s.pname(cl, p), "L1 %v hit block %d", st, offset)
+		}
 		s.release(cl, p, t)
 		if done != nil {
 			done(s.l1Line(cl, p, offset).data.Clone(), t)
@@ -79,7 +81,9 @@ func (s *System) afterLocalReadPass(t sim.Slot, cl, p, offset int, done func(mem
 	if st := s.L2State(cl, offset); st != cache.Invalid {
 		s.L2Hits++
 		s.fillL1Valid(cl, p, offset)
-		s.trace.Add(t, s.pname(cl, p), "L2 %v hit block %d", st, offset)
+		if s.trace.Enabled() {
+			s.trace.Add(t, s.pname(cl, p), "L2 %v hit block %d", st, offset)
+		}
 		s.release(cl, p, t)
 		if done != nil {
 			done(s.l1Line(cl, p, offset).data.Clone(), t)
@@ -95,7 +99,9 @@ func (s *System) afterLocalReadPass(t sim.Slot, cl, p, offset int, done func(mem
 				// The refill is itself a local pass, re-validated from
 				// scratch: the fresh L2 copy may have been stolen, or a
 				// sibling may have dirtied the block meanwhile.
-				s.trace.Add(refillAt, s.pname(cl, p), "refill pass block %d", offset)
+				if s.trace.Enabled() {
+					s.trace.Add(refillAt, s.pname(cl, p), "refill pass block %d", offset)
+				}
 				s.afterLocalReadPass(refillAt, cl, p, offset, done)
 			})
 		})
@@ -108,7 +114,9 @@ func (s *System) storeAttempt(t sim.Slot, cl, p, offset, word int, v memory.Word
 	if s.L1State(cl, p, offset) == cache.Dirty {
 		s.L1Hits++
 		s.l1Line(cl, p, offset).data[word] = v
-		s.trace.Add(t, s.pname(cl, p), "L1 dirty hit store block %d", offset)
+		if s.trace.Enabled() {
+			s.trace.Add(t, s.pname(cl, p), "L1 dirty hit store block %d", offset)
+		}
 		s.release(cl, p, t)
 		if done != nil {
 			done(t)
@@ -157,7 +165,9 @@ func (s *System) finishStore(t sim.Slot, cl, p, offset, word int, v memory.Word,
 	}
 	s.fillL1Dirty(cl, p, offset)
 	s.l1Line(cl, p, offset).data[word] = v
-	s.trace.Add(t, s.pname(cl, p), "store complete block %d", offset)
+	if s.trace.Enabled() {
+		s.trace.Add(t, s.pname(cl, p), "store complete block %d", offset)
+	}
 	s.release(cl, p, t)
 	if done != nil {
 		done(t)
@@ -190,7 +200,9 @@ func (s *System) globalRead(cl, offset int, cont func(sim.Slot)) {
 		}
 		if owner := s.dirtyL2Owner(offset, cl); owner >= 0 {
 			s.RemoteDirtyChains++
-			s.trace.Add(end, s.ncName(cl), "global read of %d found dirty L2 at cluster %d", offset, owner)
+			if s.trace.Enabled() {
+				s.trace.Add(end, s.ncName(cl), "global read of %d found dirty L2 at cluster %d", offset, owner)
+			}
 			s.remoteFlush(owner, offset, false, func(flushDone sim.Slot) {
 				// Retry the global read as a fresh NC job.
 				s.ncSubmit(cl, ncJob{prio: 4, offset: offset, run: func() {
@@ -212,7 +224,9 @@ func (s *System) globalRead(cl, offset int, cont func(sim.Slot)) {
 			ln.state = cache.Valid
 			ln.tag = offset
 			ln.data = s.memBlock(offset).Clone()
-			s.trace.Add(at, s.ncName(cl), "L2 filled valid block %d", offset)
+			if s.trace.Enabled() {
+				s.trace.Add(at, s.ncName(cl), "L2 filled valid block %d", offset)
+			}
 			delete(s.globalBusy, offset)
 			cont(at)
 		}, end)
@@ -265,7 +279,9 @@ func (s *System) globalReadInv(cl, offset int, cont func(sim.Slot)) {
 			}
 			ln.state = cache.Dirty
 			ln.tag = offset
-			s.trace.Add(at, s.ncName(cl), "L2 filled dirty block %d", offset)
+			if s.trace.Enabled() {
+				s.trace.Add(at, s.ncName(cl), "L2 filled dirty block %d", offset)
+			}
 			delete(s.globalBusy, offset)
 			cont(at)
 		}, end)
@@ -337,7 +353,9 @@ func (s *System) remoteFlush(owner, offset int, invalidate bool, cont func(sim.S
 			if invalidate {
 				s.invalidateL2(owner, offset)
 			}
-			s.trace.Add(end, s.ncName(owner), "remote flush of block %d complete", offset)
+			if s.trace.Enabled() {
+				s.trace.Add(end, s.ncName(owner), "remote flush of block %d complete", offset)
+			}
 			cont(end)
 		})
 	}})

@@ -309,3 +309,29 @@ func (c *Conventional) MeanLatency() float64 {
 	}
 	return float64(c.TotalLatency) / float64(c.Completed)
 }
+
+// Utilization returns the fraction of module-slots that granted accesses
+// hold over the first elapsed slots (pass the engine's Now() after the
+// run). Every access a module has accepted, completed or still in
+// flight, holds it for β slots.
+func (c *Conventional) Utilization(elapsed sim.Slot) float64 {
+	if elapsed <= 0 {
+		return 0
+	}
+	granted := c.Completed
+	for _, s := range c.state {
+		if s == procInFlight {
+			granted++
+		}
+	}
+	return float64(granted*int64(c.cfg.BlockTime)) / float64(int64(elapsed)*int64(c.cfg.Modules))
+}
+
+// Throughput returns completed block accesses per slot over the first
+// elapsed slots.
+func (c *Conventional) Throughput(elapsed sim.Slot) float64 {
+	if elapsed <= 0 {
+		return 0
+	}
+	return float64(c.Completed) / float64(elapsed)
+}

@@ -3,12 +3,11 @@
 // (-metrics-out, -trace-out, -http, -sample, -spans-out) feed the
 // metrics registry, the slot-sampled time-series recorder, the event
 // trace, the flight recorder, and the live profiling endpoint; the
-// engine flags (-parallel, -workers, -skip-ahead, -epoch-batch) shape
-// the cycle engine NewEngine builds.
+// engine flags (-workers, -skip-ahead, -epoch-batch) shape the cycle
+// engine NewEngine builds.
 package obsflags
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,10 +37,9 @@ type Observatory struct {
 	SpansOut   string // -spans-out: flight-recorder export (*.json: Chrome trace; else JSONL)
 	SpansLimit int    // -spans-limit: flight recorder ring capacity (events)
 
-	Parallel   bool // -parallel: run on a worker pool instead of one worker
-	Workers    int  // -workers: pool size (sim.WorkersAuto sizes it per plan); needs -parallel
+	Workers    int  // -workers: engine workers (1 by default; sim.WorkersAuto sizes the pool per plan)
 	SkipAhead  bool // -skip-ahead: jump the clock over quiescent slots
-	EpochBatch int  // -epoch-batch: barrier episode bound (sim.EpochAuto = auto); needs -parallel
+	EpochBatch int  // -epoch-batch: barrier episode bound (sim.EpochAuto = auto); no-op on one worker
 
 	Reg      *metrics.Registry
 	Sampler  *metrics.Sampler
@@ -72,9 +70,8 @@ func Flags(fs *flag.FlagSet) *Observatory {
 		"write the flight recorder's access spans to this file, from the last simulation a command runs: *.json gets Chrome trace-event JSON (Perfetto), anything else JSONL")
 	fs.IntVar(&ob.SpansLimit, "spans-limit", flight.DefaultLimit,
 		"flight recorder capacity in events (the ring keeps the newest)")
-	fs.BoolVar(&ob.Parallel, "parallel", false, "run the simulation on the parallel cycle engine")
-	fs.IntVar(&ob.Workers, "workers", sim.WorkersAuto,
-		"parallel engine workers (0 = auto: serial fallback for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)")
+	fs.IntVar(&ob.Workers, "workers", 1,
+		"cycle engine workers (1 = one worker; 0 = auto: one worker for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)")
 	fs.BoolVar(&ob.SkipAhead, "skip-ahead", false,
 		"jump the clock over quiescent slots (event-horizon scheduling; same results, bit for bit)")
 	fs.IntVar(&ob.EpochBatch, "epoch-batch", sim.EpochAuto,
@@ -82,15 +79,11 @@ func Flags(fs *flag.FlagSet) *Observatory {
 	return ob
 }
 
-// NewEngine builds a cycle engine as the engine flags ask: one worker by
-// default, a pool of -workers with -parallel, with skip-ahead and the
-// episode bound applied.
+// NewEngine builds a cycle engine as the engine flags ask: -workers
+// workers (one by default), with skip-ahead and the episode bound
+// applied.
 func (ob *Observatory) NewEngine() sim.Engine {
-	workers := 1
-	if ob.Parallel {
-		workers = ob.Workers
-	}
-	eng := sim.NewParallelClock(workers)
+	eng := sim.NewParallelClock(ob.Workers)
 	eng.SetSkipAhead(ob.SkipAhead)
 	eng.SetEpochBatch(ob.EpochBatch)
 	return eng
@@ -179,16 +172,13 @@ func (ob *Observatory) Validate() error {
 	return nil
 }
 
-// Open rejects out-of-range and contradictory flags, then builds the
+// Open rejects out-of-range flags, then builds the
 // registry and sampler (and the trace and live endpoint when
 // requested). With force=false and no observability flag set it builds
 // nothing: everything stays nil and instrumentation remains free.
 func (ob *Observatory) Open(force bool) error {
 	if err := ob.Validate(); err != nil {
 		return err
-	}
-	if !ob.Parallel && (ob.Workers != sim.WorkersAuto || ob.EpochBatch != sim.EpochAuto) {
-		return errors.New("-workers and -epoch-batch configure the parallel engine: add -parallel")
 	}
 	if !force && !ob.Wanted() {
 		return nil

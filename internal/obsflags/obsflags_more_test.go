@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"cfm/internal/sim"
@@ -16,10 +17,13 @@ func TestFlagDefaults(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	ob := Flags(fs)
 	for _, name := range []string{"metrics-out", "trace-out", "http", "sample",
-		"parallel", "workers", "skip-ahead", "epoch-batch"} {
+		"workers", "skip-ahead", "epoch-batch"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
+	}
+	if fs.Lookup("parallel") != nil {
+		t.Error("flag -parallel registered: -workers alone sets the engine's shape")
 	}
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
@@ -30,15 +34,14 @@ func TestFlagDefaults(t *testing.T) {
 	if ob.Every != 1000 {
 		t.Errorf("-sample default = %d, want 1000", ob.Every)
 	}
-	if ob.Parallel || ob.Workers != sim.WorkersAuto || ob.SkipAhead || ob.EpochBatch != sim.EpochAuto {
+	if ob.Workers != 1 || ob.SkipAhead || ob.EpochBatch != sim.EpochAuto {
 		t.Errorf("engine flags must default to one worker, dense, auto episodes; got %+v", ob)
 	}
 }
 
-// TestEngineFlags pins what the engine flags build and which
-// combinations Open rejects: -workers and -epoch-batch only configure the
-// worker pool, so giving either without -parallel is an error rather
-// than a silently serial run.
+// TestEngineFlags pins what the engine flags build and which values
+// Open rejects: -workers alone sets the worker count, and -epoch-batch
+// on one worker is the no-op SetEpochBatch documents, not an error.
 func TestEngineFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args    []string
@@ -48,16 +51,18 @@ func TestEngineFlags(t *testing.T) {
 	}{
 		{args: nil, workers: 1, fired: 100},
 		{args: []string{"-skip-ahead"}, workers: 1, fired: 0},
-		{args: []string{"-workers", "4"}, wantErr: true},
-		{args: []string{"-workers", "-1"}, wantErr: true},
-		{args: []string{"-epoch-batch", "8"}, wantErr: true},
-		{args: []string{"-skip-ahead", "-epoch-batch", "1"}, wantErr: true},
-		{args: []string{"-parallel", "-epoch-batch", "-1"}, wantErr: true},
+		{args: []string{"-workers", "1"}, workers: 1, fired: 100},
+		{args: []string{"-workers", "4"}, workers: 4, fired: 100},
+		{args: []string{"-workers", "-1"}, workers: runtime.GOMAXPROCS(0), fired: 100},
+		{args: []string{"-epoch-batch", "8"}, workers: 1, fired: 100},
+		{args: []string{"-skip-ahead", "-epoch-batch", "1"}, workers: 1, fired: 0},
+		{args: []string{"-epoch-batch", "-1"}, wantErr: true},
+		{args: []string{"-workers", "2", "-epoch-batch", "-1"}, wantErr: true},
 		{args: []string{"-sample", "0"}, wantErr: true},
 		{args: []string{"-sample", "-5"}, wantErr: true},
-		{args: []string{"-parallel"}, workers: sim.WorkersAuto, fired: 100},
-		{args: []string{"-parallel", "-workers", "2"}, workers: 2, fired: 100},
-		{args: []string{"-parallel", "-workers", "2", "-epoch-batch", "4", "-skip-ahead"}, workers: 2, fired: 0},
+		{args: []string{"-workers", "0"}, workers: sim.WorkersAuto, fired: 100},
+		{args: []string{"-workers", "2"}, workers: 2, fired: 100},
+		{args: []string{"-workers", "2", "-epoch-batch", "4", "-skip-ahead"}, workers: 2, fired: 0},
 	} {
 		fs := flag.NewFlagSet("x", flag.ContinueOnError)
 		ob := Flags(fs)

@@ -706,13 +706,25 @@ func (p SharingParams) Validate() error {
 	return nil
 }
 
+// SharingRun is one sharing factor's measurements, read against the
+// engine's clock after the run.
+type SharingRun struct {
+	Sharing, Processors                 int
+	Efficiency, Utilization, Throughput float64
+	Retries                             int64
+}
+
 // Sharing runs each sharing factor in order.
-func Sharing(obs *obsflags.Observatory, p SharingParams) []*core.Shared {
-	var runs []*core.Shared
+func Sharing(obs *obsflags.Observatory, p SharingParams) []SharingRun {
+	var runs []SharingRun
 	for _, f := range p.Factors {
-		s := core.NewShared(p.config(f))
-		engine(obs, s).Run(p.Slots)
-		runs = append(runs, s)
+		cfg := p.config(f)
+		s := core.NewShared(cfg)
+		eng := engine(obs, s)
+		eng.Run(p.Slots)
+		now := eng.Now()
+		runs = append(runs, SharingRun{f, cfg.Processors(),
+			s.Efficiency(), s.Utilization(now), s.Throughput(now), s.Retries})
 	}
 	return runs
 }
@@ -802,10 +814,10 @@ func extensions(obs *obsflags.Observatory, s *Section) error {
 	sh := Sharing(obs, DefaultSharing())
 	s1, s4 := sh[0], sh[1]
 	s.check("slot sharing raises utilization at an efficiency cost (§7.2)",
-		s4.Utilization() > s1.Utilization() && s4.Efficiency() < s1.Efficiency(),
+		s4.Utilization > s1.Utilization && s4.Efficiency < s1.Efficiency,
 		fmt.Sprintf("util %s→%s, E %s→%s",
-			stats.FormatFloat(s1.Utilization()), stats.FormatFloat(s4.Utilization()),
-			stats.FormatFloat(s1.Efficiency()), stats.FormatFloat(s4.Efficiency())))
+			stats.FormatFloat(s1.Utilization), stats.FormatFloat(s4.Utilization),
+			stats.FormatFloat(s1.Efficiency), stats.FormatFloat(s4.Efficiency)))
 
 	topo := Topologies()
 	cube, ring := topo[1].MeanHops, topo[3].MeanHops

@@ -417,7 +417,8 @@ func scenarios() []scenario {
 				AccessRate: 0.08, RetryMean: 4, Seed: 72})
 			eng.Register(s)
 			return func() { runTo(eng, 2000) }, func() observation {
-				return probes{}.observe(fmt.Sprint(s.Completed, s.Retries, s.TotalLatency, s.Utilization(), s.Throughput()))
+				now := eng.Now()
+				return probes{}.observe(fmt.Sprint(s.Completed, s.Retries, s.TotalLatency, s.Utilization(now), s.Throughput(now)))
 			}
 		}},
 		// The address-tracked memory (Ch. 4) under earliest-wins
