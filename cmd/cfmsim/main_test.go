@@ -67,6 +67,8 @@ func TestOutOfRangeFlagsAreUsageErrors(t *testing.T) {
 		{"observe", "-sample", "0"},
 		{"observe", "-sample", "-5"},
 		{"treesat", "-epoch-batch", "-1"},
+		{"waterfall", "-spans-limit", "-5"},
+		{"observe", "-spans-limit", "-1"},
 		{"sharing", "-rate", "2"},
 		{"sharing", "-rate", "-1"},
 		{"waterfall", "-rate", "3"},

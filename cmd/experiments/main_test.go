@@ -5,39 +5,30 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"cfm/internal/obsflags"
+	"cfm/internal/scenario"
 )
 
-// runReport runs the report in-process with the given command-line flags
-// and returns its stdout.
+// runReport runs the command in-process with the given command-line
+// flags over the whole catalog and returns its stdout.
 func runReport(t *testing.T, args ...string) string {
 	t.Helper()
-	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	obs := obsflags.Flags(fs)
-	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr, scenario.Report()); code != 0 {
+		t.Fatalf("experiments %v: exit %d: %s\n%s", args, code, stderr.String(), stdout.String())
 	}
-	var out bytes.Buffer
-	if err := report(&out, obs); err != nil {
-		t.Fatalf("experiments %v: %v\n%s", args, err, out.String())
-	}
-	return out.String()
+	return stdout.String()
 }
 
-// TestReportIndependentOfEngine runs the whole report under several
-// engine settings: apart from the parallel banner every output is the
-// same bytes, and the serial one hashes to cfmbench's paper_suite
-// golden. A run resumed from the Fig 3.13 checkpoint prints the same
-// report too. Under the race detector only the serial run and the
-// fullest parallel setting run.
-func TestReportIndependentOfEngine(t *testing.T) {
+// paperSuiteGolden reads cfmbench's paper_suite golden: the sha256 of
+// the default report's stdout.
+func paperSuiteGolden(t *testing.T) string {
+	t.Helper()
 	golden, err := os.ReadFile("../../bench/cfmbench/golden.json")
 	if err != nil {
 		t.Fatal(err)
@@ -46,10 +37,25 @@ func TestReportIndependentOfEngine(t *testing.T) {
 	if err := json.Unmarshal(golden, &goldens); err != nil {
 		t.Fatal(err)
 	}
+	return goldens["paper_suite"]
+}
+
+// stdoutSum renders out's sha256 as the golden records it.
+func stdoutSum(out string) string {
+	sum := sha256.Sum256([]byte(out))
+	return "stdout_sha256=" + hex.EncodeToString(sum[:])
+}
+
+// TestReportIndependentOfEngine runs the whole report under several
+// engine settings: apart from the parallel banner every output is the
+// same bytes, and the serial one (-checkpoint-out takes the entries one
+// at a time) hashes to cfmbench's paper_suite golden. A run resumed from
+// the Fig 3.13 checkpoint prints the same report too. Under the race
+// detector only the serial run and the fullest parallel setting run.
+func TestReportIndependentOfEngine(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "fig313.cfm")
 	serial := runReport(t, "-checkpoint-out", ck)
-	sum := sha256.Sum256([]byte(serial))
-	if got, want := "stdout_sha256="+hex.EncodeToString(sum[:]), goldens["paper_suite"]; got != want {
+	if got, want := stdoutSum(serial), paperSuiteGolden(t); got != want {
 		t.Fatalf("serial report %s, want the paper_suite golden %s:\n%s", got, want, serial)
 	}
 	type setting struct {

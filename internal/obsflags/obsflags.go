@@ -48,7 +48,7 @@ type Observatory struct {
 	Status   *metrics.StatusVar // non-nil when -http is set
 	srv      *http.Server
 	engines  []sim.Engine // every engine Attach saw, for the post-run stamp
-	attached int          // how many engines Attach has seen
+	attached int          // how many engines Attach has given the flight ring
 }
 
 // Flags registers the observability and engine flags on fs and returns
@@ -69,7 +69,7 @@ func Flags(fs *flag.FlagSet) *Observatory {
 	fs.StringVar(&ob.SpansOut, "spans-out", "",
 		"write the flight recorder's access spans to this file, from the last simulation a command runs: *.json gets Chrome trace-event JSON (Perfetto), anything else JSONL")
 	fs.IntVar(&ob.SpansLimit, "spans-limit", flight.DefaultLimit,
-		"flight recorder capacity in events (the ring keeps the newest)")
+		"flight recorder capacity in events, 0 for the default (the ring keeps the newest)")
 	fs.IntVar(&ob.Workers, "workers", 1,
 		"cycle engine workers (1 = one worker; 0 = auto: one worker for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)")
 	fs.BoolVar(&ob.SkipAhead, "skip-ahead", false,
@@ -160,14 +160,18 @@ func (ob *Observatory) Wanted() bool {
 }
 
 // Validate reports an out-of-range flag value: a -sample period below
-// one slot, or a negative -epoch-batch. (The library clamps both
-// silently; at the flag boundary they are mistakes.)
+// one slot, a negative -epoch-batch or a negative -spans-limit. (The
+// library clamps all three silently; at the flag boundary they are
+// mistakes.)
 func (ob *Observatory) Validate() error {
 	if ob.Every < 1 {
 		return fmt.Errorf("-sample %d: must be at least 1", ob.Every)
 	}
 	if ob.EpochBatch < 0 {
 		return fmt.Errorf("-epoch-batch %d: must be 0 (auto) or at least 1", ob.EpochBatch)
+	}
+	if ob.SpansLimit < 0 {
+		return fmt.Errorf("-spans-limit %d: must be 0 (the default capacity) or at least 1", ob.SpansLimit)
 	}
 	return nil
 }
@@ -226,8 +230,8 @@ func (ob *Observatory) Attach(eng sim.Engine) {
 			ob.Flight.Reset()
 		}
 		eng.AttachState("flight", ob.Flight)
+		ob.attached++
 	}
-	ob.attached++
 	if ob.Status != nil {
 		ob.Status.Attach(eng)
 	}

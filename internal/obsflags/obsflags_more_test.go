@@ -60,6 +60,8 @@ func TestEngineFlags(t *testing.T) {
 		{args: []string{"-workers", "2", "-epoch-batch", "-1"}, wantErr: true},
 		{args: []string{"-sample", "0"}, wantErr: true},
 		{args: []string{"-sample", "-5"}, wantErr: true},
+		{args: []string{"-spans-limit", "-5"}, wantErr: true},
+		{args: []string{"-spans-limit", "0"}, workers: 1, fired: 100},
 		{args: []string{"-workers", "0"}, workers: sim.WorkersAuto, fired: 100},
 		{args: []string{"-workers", "2"}, workers: 2, fired: 100},
 		{args: []string{"-workers", "2", "-epoch-batch", "4", "-skip-ahead"}, workers: 2, fired: 0},

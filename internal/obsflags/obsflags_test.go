@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"cfm/internal/flight"
@@ -30,6 +31,36 @@ func TestUnsetFlagsStayDisabled(t *testing.T) {
 	ob.Attach(sim.NewClock()) // must not panic
 	if err := ob.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUnobservedAttachIsConcurrencySafe: with observation off Attach
+// writes nothing, so independent runs sharing one Observatory (the
+// report's catalog entries on a worker pool) may call it at once. Run
+// under -race.
+func TestUnobservedAttachIsConcurrencySafe(t *testing.T) {
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	ob := Flags(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := ob.Open(false); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				ob.Attach(sim.NewClock())
+			}
+		}()
+	}
+	wg.Wait()
+	if ob.attached != 0 || ob.engines != nil || ob.Reg != nil || ob.Sampler != nil ||
+		ob.Trace != nil || ob.Flight != nil || ob.Status != nil {
+		t.Fatalf("unobserved Attach changed the observatory: attached %d, %d engines", ob.attached, len(ob.engines))
 	}
 }
 
