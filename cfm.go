@@ -495,14 +495,15 @@ const (
 )
 
 // NewFrontend attaches an ordering front-end for one processor. clk may
-// be a serial or parallel engine (anything with Now).
+// be a serial or parallel engine (anything with Now). A front-end is
+// ticked only through a FrontendGroup (see NewFrontendGroup).
 func NewFrontend(c *CacheProtocol, clk Timebase, proc int, mode Ordering) *Frontend {
 	return cache.NewFrontend(c, clk, proc, mode)
 }
 
 // NewFrontendGroup bundles per-processor front-ends into one Shardable
 // so the parallel engine can tick them concurrently. Register the group
-// BEFORE the protocol, in place of the individual front-ends.
+// BEFORE the protocol; a lone front-end is a group of one.
 func NewFrontendGroup(fes ...*Frontend) *FrontendGroup { return cache.NewFrontendGroup(fes...) }
 
 // FrontendExecution assembles recorded operations for consistency checks.

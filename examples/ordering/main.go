@@ -19,7 +19,7 @@ func run(mode cfm.Ordering) (*cfm.Frontend, int64) {
 	proto := cfm.NewCacheProtocol(cfm.CacheConfig{Processors: 4, Lines: 8, RetryDelay: 1}, nil)
 	clk := cfm.NewClock()
 	fe := cfm.NewFrontend(proto, clk, 0, mode)
-	clk.Register(fe)
+	clk.Register(cfm.NewFrontendGroup(fe))
 	clk.Register(proto)
 	for j := 0; j < 10; j++ {
 		fe.Store(j%6, 0, cfm.Word(j))

@@ -218,7 +218,7 @@ func TestFacadeFrontend(t *testing.T) {
 	proto := cfm.NewCacheProtocol(cfm.CacheConfig{Processors: 4, Lines: 4, RetryDelay: 1}, nil)
 	clk := cfm.NewClock()
 	fe := cfm.NewFrontend(proto, clk, 0, cfm.BufferedOrder)
-	clk.Register(fe)
+	clk.Register(cfm.NewFrontendGroup(fe))
 	clk.Register(proto)
 	fe.Store(0, 0, 1)
 	fe.Load(1, 0, nil)

@@ -136,20 +136,16 @@ type op struct {
 type Tracked struct {
 	m   int
 	pri Priority
-	// SoA bank state; banks are facades into it.
-	//cfm:no-save checkpointed through the banks facades sharing this arena
-	ar    *memory.BankArena
-	banks []*memory.Bank
-	att   [][]entry // att[bank][i]: entry of age i+1 at compare time
+	ar  *memory.BankArena // SoA bank state
+	att [][]entry         // att[bank][i]: entry of age i+1 at compare time
 	// pending insertions made during this slot's transfers, applied at
 	// the ATT shift in PhaseUpdate.
 	pending []entry
 	ops     []*op // one per processor, nil when idle
 	trace   *sim.Trace
 
-	// Checkpoint rebinders (see SetDoneRebinder / SetModifyRebinder):
-	// callbacks of restored in-flight operations are rebuilt through these.
-	doneRebind   func(proc int, kind OpKind, offset int, issued sim.Slot) func(Result)
+	// Checkpoint rebinder (see SetModifyRebinder): the modify body of a
+	// restored in-flight swap is rebuilt through it.
 	modifyRebind func(proc, offset int) func(memory.Block) memory.Block
 
 	// Statistics.
@@ -177,20 +173,15 @@ func NewTracked(m int, pri Priority, trace *sim.Trace) *Tracked {
 	if m < 2 {
 		panic(fmt.Sprintf("att: need >=2 banks, got %d", m))
 	}
-	tr := &Tracked{
+	return &Tracked{
 		m:       m,
 		pri:     pri,
 		ar:      memory.NewBankArena(m, 1),
-		banks:   make([]*memory.Bank, m),
 		att:     make([][]entry, m),
 		pending: make([]entry, m),
 		ops:     make([]*op, m),
 		trace:   trace,
 	}
-	for i := range tr.banks {
-		tr.banks[i] = tr.ar.Bank(i)
-	}
-	return tr
 }
 
 // Instrument attaches registry counters for the tracked memory's

@@ -1,6 +1,7 @@
 package att
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -558,5 +559,21 @@ func TestTraceRecordsAbort(t *testing.T) {
 	h.clk.Run(30)
 	if !tr.Contains("P0", "write abort") {
 		t.Fatalf("trace missing abort:\n%s", tr)
+	}
+}
+
+// TestTrackedSaveFailsOnCompletionCallback: a completion callback has no
+// rebinder, so Checkpoint refuses an in-flight operation carrying one;
+// the same operation without a callback checkpoints.
+func TestTrackedSaveFailsOnCompletionCallback(t *testing.T) {
+	for _, done := range []func(Result){func(Result) {}, nil} {
+		h := newHarness(4, EarliestWins)
+		h.at(0, func(t sim.Slot) { h.tr.StartRead(t, 1, 0, done) })
+		h.clk.Run(2)
+		var buf bytes.Buffer
+		err := h.clk.Checkpoint(&buf)
+		if (err == nil) != (done == nil) {
+			t.Fatalf("callback %v: checkpoint error %v", done != nil, err)
+		}
 	}
 }

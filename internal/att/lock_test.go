@@ -175,3 +175,96 @@ func TestLockersOnDifferentBlocksIndependent(t *testing.T) {
 			lkA.Holding(0), lkB.Holding(1))
 	}
 }
+
+// TestLockerSpinPathLeavesReleaseUndelayed drives the §4.2.2 busy-wait
+// loop itself: each hold lasts far longer than a swap (2m slots), so a
+// losing swap completes while the lock is still held and its processor
+// spins on reads of the lock block. The claim under test is that the
+// spinning costs the holder nothing: every release write completes in
+// the uncontended write time, whatever the number of spinners.
+func TestLockerSpinPathLeavesReleaseUndelayed(t *testing.T) {
+	const m, rounds = 8, 2
+	const hold = 20 * m // ten swaps' time
+	type release struct {
+		latency  sim.Slot
+		spinners int
+	}
+	run := func(contenders []int) ([]release, *lockHarness) {
+		h := newLockHarness(m, hold, contenders, rounds)
+		var rels []release
+		relAt := make([]sim.Slot, m)
+		inFlight := make([]bool, m)
+		spinAt := make([]int, m)
+		// Registered after the harness, so it sees each slot's release
+		// writes already issued.
+		h.clk.Register(sim.TickerFunc(func(t sim.Slot, ph sim.Phase) {
+			if ph != sim.PhaseIssue {
+				return
+			}
+			for p := 0; p < m; p++ {
+				switch {
+				case inFlight[p] && h.lk.state[p] != lockUnlock:
+					inFlight[p] = false
+					rels = append(rels, release{latency: t - relAt[p], spinners: spinAt[p]})
+				case !inFlight[p] && h.lk.state[p] == lockUnlock:
+					inFlight[p], relAt[p], spinAt[p] = true, t, 0
+					for q := 0; q < m; q++ {
+						if h.lk.state[q] == lockSpinning || h.lk.state[q] == lockReading {
+							spinAt[p]++
+						}
+					}
+				}
+			}
+		}))
+		done := func() bool {
+			for p := 0; p < m; p++ {
+				if h.rounds[p] > 0 || inFlight[p] {
+					return false
+				}
+			}
+			return true
+		}
+		if _, ok := h.clk.RunUntil(done, 100000); !ok {
+			t.Fatalf("contenders %v: lock rounds did not finish", contenders)
+		}
+		if h.maxHolders > 1 {
+			t.Fatalf("contenders %v: observed %d simultaneous holders", contenders, h.maxHolders)
+		}
+		if got, want := len(h.order), len(contenders)*rounds; got != want {
+			t.Fatalf("contenders %v: %d acquisitions, want %d", contenders, got, want)
+		}
+		return rels, h
+	}
+
+	alone, h := run([]int{3})
+	if h.tr.CompletedReads != 0 {
+		t.Fatalf("a lone contender issued %d spin reads", h.tr.CompletedReads)
+	}
+	// The watcher sees a write issued at slot t done at t+m: it visits
+	// each of the m banks once and completes in slot t+m−1.
+	const base = sim.Slot(m)
+	for _, r := range alone {
+		if r.latency != base {
+			t.Fatalf("uncontended release took %d slots, want %d", r.latency, base)
+		}
+	}
+	for _, contenders := range [][]int{{0, 2, 5, 7}, {0, 1, 2, 3, 4, 5, 6, 7}} {
+		rels, h := run(contenders)
+		if h.tr.CompletedReads == 0 {
+			t.Fatalf("contenders %v: no spin read completed; the spin path never ran", contenders)
+		}
+		most := 0
+		for _, r := range rels {
+			if r.latency != base {
+				t.Fatalf("contenders %v: a release with %d spinners took %d slots, uncontended %d",
+					contenders, r.spinners, r.latency, base)
+			}
+			if r.spinners > most {
+				most = r.spinners
+			}
+		}
+		if most < len(contenders)-1 {
+			t.Fatalf("contenders %v: at most %d spinners at a release, want %d", contenders, most, len(contenders)-1)
+		}
+	}
+}

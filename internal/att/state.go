@@ -5,18 +5,13 @@ import (
 	"cfm/internal/sim"
 )
 
-// SetDoneRebinder installs the hook used by LoadState to reconstruct the
-// completion callbacks of in-flight operations. Callbacks are code, not
-// data: a checkpoint records only that an operation had one, and the
-// harness that owns the callbacks must rebuild them from the operation's
-// identity. Restoring an operation whose snapshot says it had a done
-// callback fails loudly when no rebinder is installed.
-func (tr *Tracked) SetDoneRebinder(f func(proc int, kind OpKind, offset int, issued sim.Slot) func(Result)) {
-	tr.doneRebind = f
-}
-
-// SetModifyRebinder installs the matching hook for the modify body of an
-// in-flight swap.
+// SetModifyRebinder installs the hook LoadState uses to reconstruct the
+// modify body of an in-flight swap. Callbacks are code, not data: a
+// checkpoint records only that an operation had one, and the harness
+// that owns the body must rebuild it from the operation's identity.
+// Checkpointing a swap with a modify body fails loudly when no rebinder
+// is installed. A completion callback has no rebinder, so checkpointing
+// an operation that carries one fails too.
 func (tr *Tracked) SetModifyRebinder(f func(proc, offset int) func(memory.Block) memory.Block) {
 	tr.modifyRebind = f
 }
@@ -35,9 +30,7 @@ func loadEntry(dec *sim.StateDecoder) entry {
 // every ATT row, this slot's pending insertions, the in-flight
 // operations, and the statistics with their registry-flush watermarks.
 func (tr *Tracked) SaveState(enc *sim.StateEncoder) {
-	for _, bk := range tr.banks {
-		bk.SaveState(enc)
-	}
+	tr.ar.SaveState(enc)
 	for b := range tr.att {
 		enc.Int(len(tr.att[b]))
 		for _, e := range tr.att[b] {
@@ -52,8 +45,8 @@ func (tr *Tracked) SaveState(enc *sim.StateEncoder) {
 		if o == nil {
 			continue
 		}
-		if o.done != nil && tr.doneRebind == nil {
-			enc.Failf("att: P%d's in-flight %v carries a completion callback but no rebinder is installed (SetDoneRebinder)", p, o.kind)
+		if o.done != nil {
+			enc.Failf("att: P%d's in-flight %v carries a completion callback, which a restore cannot rebuild", p, o.kind)
 			return
 		}
 		if o.modify != nil && tr.modifyRebind == nil {
@@ -87,12 +80,7 @@ func (tr *Tracked) SaveState(enc *sim.StateEncoder) {
 
 // LoadState implements sim.Stater.
 func (tr *Tracked) LoadState(dec *sim.StateDecoder) {
-	for _, bk := range tr.banks {
-		bk.LoadState(dec)
-		if dec.Err() != nil {
-			return
-		}
-	}
+	tr.ar.LoadState(dec)
 	for b := range tr.att {
 		n := dec.Count()
 		if dec.Err() != nil {
@@ -159,15 +147,8 @@ func (tr *Tracked) LoadState(dec *sim.StateDecoder) {
 			}
 		}
 		if hasDone {
-			if tr.doneRebind == nil {
-				dec.Failf("att: P%d's snapshot %v needs a done rebinder (SetDoneRebinder)", p, o.kind)
-				return
-			}
-			o.done = tr.doneRebind(p, o.kind, o.offset, o.issued)
-			if o.done == nil {
-				dec.Failf("att: done rebinder returned nil for P%d", p)
-				return
-			}
+			dec.Failf("att: P%d's snapshot %v carries a completion callback, which cannot be rebuilt", p, o.kind)
+			return
 		}
 		tr.ops[p] = o
 	}

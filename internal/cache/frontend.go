@@ -79,13 +79,8 @@ type Frontend struct {
 	doneRel    func(memory.Block)
 
 	// id is the enclosing FrontendGroup's parking handle (shared by all
-	// members; nil when the group is unregistered or absent).
+	// members; nil while the group is unregistered).
 	id *sim.Idler
-
-	// loadDone, when set, reconstructs the word-consumer callback of a
-	// program-order load while restoring a checkpoint (see
-	// SetLoadDoneRebinder).
-	loadDone func(index, offset, word int) func(memory.Word)
 
 	// Ops accumulates the execution for consistency checking.
 	Ops []consistency.Op
@@ -102,9 +97,9 @@ type feOp struct {
 }
 
 // NewFrontend attaches a front-end for processor proc. clk is any
-// timebase (serial or parallel engine). Register it on the clock BEFORE
-// the protocol — or register a FrontendGroup instead to let the parallel
-// engine tick front-ends concurrently.
+// timebase (serial or parallel engine). A front-end is not a ticker:
+// bundle it into a FrontendGroup and register the group on the clock
+// BEFORE the protocol.
 func NewFrontend(c *Protocol, clk sim.Timebase, proc int, mode Ordering) *Frontend {
 	f := &Frontend{c: c, clk: clk, proc: proc, mode: mode}
 	f.doneLoad = func(b memory.Block) {
@@ -124,15 +119,6 @@ func NewFrontend(c *Protocol, clk sim.Timebase, proc int, mode Ordering) *Fronte
 	}
 	c.fes[proc] = f // checkpoint restore rebinds request tags through this
 	return f
-}
-
-// SetLoadDoneRebinder installs the hook LoadState uses to reconstruct
-// the done callbacks of program-order loads (queued or in flight) when
-// restoring a checkpoint: given the load's program index, offset, and
-// word, it returns the callback the harness originally supplied. Only
-// needed when loads carry callbacks; restoring fails loudly otherwise.
-func (f *Frontend) SetLoadDoneRebinder(h func(index, offset, word int) func(memory.Word)) {
-	f.loadDone = h
 }
 
 // Load appends a program-order load of one word.
@@ -207,12 +193,9 @@ func (f *Frontend) horizon(now sim.Slot) sim.Slot {
 	return now
 }
 
-// Tick implements sim.Ticker: it decides, each slot, what to issue next
-// under the ordering discipline.
-func (f *Frontend) Tick(t sim.Slot, ph sim.Phase) {
-	if ph != sim.PhaseIssue {
-		return
-	}
+// tick decides, in each slot's issue phase, what to issue next under
+// the ordering discipline.
+func (f *Frontend) tick(t sim.Slot) {
 	// Drain the write buffer when the program has nothing ready to
 	// overtake it (letting stores accumulate is what buys the loads
 	// their bypass — and, under WeakOrder, what exposes the reordering).
@@ -380,7 +363,7 @@ func identityBlock(b memory.Block) memory.Block { return b }
 // Store/RMW append to reqs[proc]; Busy reads per-processor state), so
 // distinct front-ends are conflict-free and the parallel engine may tick
 // them concurrently. Register the group on the clock BEFORE the
-// protocol, in place of registering each front-end individually.
+// protocol; it is the only way to tick front-ends.
 type FrontendGroup struct {
 	fes []*Frontend
 	id  *sim.Idler
@@ -435,7 +418,9 @@ func (g *FrontendGroup) Shards() int { return len(g.fes) }
 
 // TickShard implements sim.Shardable.
 func (g *FrontendGroup) TickShard(t sim.Slot, ph sim.Phase, s int) {
-	g.fes[s].Tick(t, ph)
+	if ph == sim.PhaseIssue {
+		g.fes[s].tick(t)
+	}
 }
 
 // FinishShards implements sim.ShardFinisher: once every member has

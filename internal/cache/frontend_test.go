@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"cfm/internal/consistency"
@@ -15,8 +17,7 @@ func feWorld(t *testing.T, mode Ordering) (*Frontend, *Frontend, *sim.Clock) {
 	clk := sim.NewClock()
 	f0 := NewFrontend(c, clk, 0, mode)
 	f1 := NewFrontend(c, clk, 2, mode)
-	clk.Register(f0)
-	clk.Register(f1)
+	clk.Register(NewFrontendGroup(f0, f1))
 	clk.Register(c)
 	clk.RegisterPrio(sim.TickerFunc(func(tt sim.Slot, ph sim.Phase) {
 		if ph == sim.PhaseUpdate {
@@ -258,5 +259,71 @@ func TestAcquireReleaseAsFullSyncElsewhere(t *testing.T) {
 	settleFE(t, clk, f0)
 	if err := consistency.Check(consistency.Weak, Execution(f0)); err != nil {
 		t.Fatalf("WC violated with full-sync acquire/release: %v", err)
+	}
+}
+
+// TestFrontendGroupSaveFailsOnLoadCallback pins where a load callback,
+// which nothing can rebuild, is refused: at Checkpoint, whether the load
+// is still queued or already in flight. The same program without the
+// callback checkpoints and resumes to the same execution.
+func TestFrontendGroupSaveFailsOnLoadCallback(t *testing.T) {
+	build := func(done func(memory.Word)) (*Frontend, *sim.Clock) {
+		c := New(Config{Processors: 4, Lines: 4, RetryDelay: 1}, nil)
+		clk := sim.NewClock()
+		fe := NewFrontend(c, clk, 0, StrictOrder)
+		clk.Register(NewFrontendGroup(fe))
+		clk.Register(c)
+		fe.Store(0, 0, 1)
+		fe.Load(1, 0, done)
+		return fe, clk
+	}
+	loadInFlight := func(fe *Frontend) bool { return fe.busy && fe.pending.kind == consistency.Load }
+	fe, clk := build(func(memory.Word) {})
+	clk.Run(1)
+	if fe.program.Empty() {
+		t.Fatal("the load left the program queue in the first slot")
+	}
+	var buf bytes.Buffer
+	if err := clk.Checkpoint(&buf); err == nil {
+		t.Fatalf("checkpoint of a queued load with a callback succeeded (%d bytes)", buf.Len())
+	}
+	if _, ok := clk.RunUntil(func() bool { return loadInFlight(fe) }, 1000); !ok {
+		t.Fatal("the load never went in flight")
+	}
+	buf.Reset()
+	if err := clk.Checkpoint(&buf); err == nil {
+		t.Fatalf("checkpoint of an in-flight load with a callback succeeded (%d bytes)", buf.Len())
+	}
+
+	ref, rclk := build(nil)
+	settleFE(t, rclk, ref)
+	src, clk := build(nil)
+	if _, ok := clk.RunUntil(func() bool { return loadInFlight(src) }, 1000); !ok {
+		t.Fatal("the load never went in flight")
+	}
+	buf.Reset()
+	if err := clk.Checkpoint(&buf); err != nil {
+		t.Fatalf("checkpoint without callbacks: %v", err)
+	}
+	dst, dclk := build(nil)
+	if err := dclk.Restore(&buf); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	settleFE(t, dclk, dst)
+	if got, want := fmt.Sprint(dst.Ops), fmt.Sprint(ref.Ops); got != want {
+		t.Fatalf("resumed execution %s, want %s", got, want)
+	}
+}
+
+// TestFrontendIsNotAComponent: a front-end is ticked and checkpointed
+// only as a member of a FrontendGroup, so it must not satisfy the
+// engine's component interfaces on its own.
+func TestFrontendIsNotAComponent(t *testing.T) {
+	var fe any = &Frontend{}
+	if _, ok := fe.(sim.Ticker); ok {
+		t.Fatal("*Frontend implements sim.Ticker; register a FrontendGroup instead")
+	}
+	if _, ok := fe.(sim.Stater); ok {
+		t.Fatal("*Frontend implements sim.Stater; the group checkpoints its members")
 	}
 }

@@ -282,20 +282,25 @@ func (c *Protocol) LoadState(dec *sim.StateDecoder) {
 	c.lastPrefetches = dec.I64()
 }
 
-// saveFeOp encodes one program-order operation. doneLive marks whether
-// the done callback can still fire (a stale pending record's cannot, so
-// its presence is not recorded and restoring needs no rebinder for it).
-func saveFeOp(enc *sim.StateEncoder, op feOp, doneLive bool) {
+// saveFeOp encodes one program-order operation for processor proc.
+// doneLive marks whether the done callback can still fire (a stale
+// pending record's cannot). A live load callback belongs to the caller
+// and nothing can rebuild it, so saving one fails; the snapshot keeps
+// the flag, which a successful save always writes false.
+func saveFeOp(enc *sim.StateEncoder, proc int, op feOp, doneLive bool) {
+	if doneLive && op.done != nil {
+		enc.Failf("cache: P%d's program op %d carries a load callback, which a restore cannot rebuild", proc, op.index)
+		return
+	}
 	enc.Int(op.index)
 	enc.Int(int(op.kind))
 	enc.Int(op.offset)
 	enc.Int(op.word)
 	enc.U64(uint64(op.value))
-	enc.Bool(doneLive && op.done != nil)
+	enc.Bool(false)
 }
 
-// loadFeOp decodes one program-order operation, rebinding a live done
-// callback through the front-end's rebinder.
+// loadFeOp decodes one program-order operation.
 func (f *Frontend) loadFeOp(dec *sim.StateDecoder) feOp {
 	var op feOp
 	op.index = dec.Int()
@@ -312,14 +317,7 @@ func (f *Frontend) loadFeOp(dec *sim.StateDecoder) feOp {
 	op.word = dec.Int()
 	op.value = memory.Word(dec.U64())
 	if dec.Bool() {
-		if f.loadDone == nil {
-			dec.Failf("cache: P%d's program op %d carries a load callback but no rebinder is installed (SetLoadDoneRebinder)", f.proc, op.index)
-			return op
-		}
-		op.done = f.loadDone(op.index, op.offset, op.word)
-		if op.done == nil {
-			dec.Failf("cache: load-done rebinder returned nil for P%d op %d", f.proc, op.index)
-		}
+		dec.Failf("cache: P%d's program op %d carries a load callback, which cannot be rebuilt", f.proc, op.index)
 	}
 	return op
 }
@@ -328,13 +326,13 @@ func (f *Frontend) loadFeOp(dec *sim.StateDecoder) feOp {
 func (f *Frontend) saveState(enc *sim.StateEncoder) {
 	enc.Int(f.nextIndex)
 	enc.Bool(f.busy)
-	sim.SaveQueue(enc, &f.program, func(e *sim.StateEncoder, op feOp) { saveFeOp(e, op, true) })
+	sim.SaveQueue(enc, &f.program, func(e *sim.StateEncoder, op feOp) { saveFeOp(e, f.proc, op, true) })
 	enc.Int(len(f.storeBuf))
 	for _, op := range f.storeBuf {
-		saveFeOp(enc, op, true)
+		saveFeOp(enc, f.proc, op, true)
 	}
-	saveFeOp(enc, f.pending, f.busy)
-	saveFeOp(enc, f.pendingRel, false) // doneRel never reads its done
+	saveFeOp(enc, f.proc, f.pending, f.busy)
+	saveFeOp(enc, f.proc, f.pendingRel, false) // doneRel never reads its done
 	enc.Int(len(f.Ops))
 	for _, o := range f.Ops {
 		enc.Int(o.Proc)
@@ -371,13 +369,6 @@ func (f *Frontend) loadState(dec *sim.StateDecoder) {
 		f.Ops = append(f.Ops, o)
 	}
 }
-
-// SaveState implements sim.Stater for a front-end registered on its own
-// (outside a FrontendGroup).
-func (f *Frontend) SaveState(enc *sim.StateEncoder) { f.saveState(enc) }
-
-// LoadState implements sim.Stater.
-func (f *Frontend) LoadState(dec *sim.StateDecoder) { f.loadState(dec) }
 
 // SaveState implements sim.Stater for the front-end group: every
 // member's state, in processor order.

@@ -50,11 +50,8 @@ type CFMemory struct {
 	cfg Config
 	at  *ATSpace
 	// ar owns the banks' state as struct-of-arrays (busy-until slots,
-	// statistics, paged word storage); banks are thin facades into it
-	// for tests, snapshots, and higher layers.
-	//cfm:no-save checkpointed through the banks facades sharing this arena
-	ar    *memory.BankArena
-	banks []*memory.Bank
+	// statistics, paged word storage).
+	ar *memory.BankArena
 	// cur holds each processor's in-flight accesses: at most one still in
 	// its address phase plus one draining its final data words (c > 1
 	// lets the next access begin while the previous one's last words are
@@ -97,8 +94,8 @@ type CFMemory struct {
 	folding bool
 	// doneRebind, when set, reconstructs the completion callback of an
 	// in-flight access while restoring a checkpoint (callbacks are code,
-	// not data, so the snapshot records only their presence). LoadState
-	// fails loudly when an access had a callback and no rebinder is set.
+	// not data, so the snapshot records only their presence). SaveState
+	// fails loudly when an access has a callback and no rebinder is set.
 	doneRebind func(proc int, kind AccessKind, offset int, start sim.Slot) func(memory.Block)
 
 	// Completed counts finished block accesses.
@@ -163,15 +160,11 @@ func NewCFMemory(cfg Config, trace *sim.Trace) *CFMemory {
 		cfg:   cfg,
 		at:    NewATSpace(cfg),
 		ar:    memory.NewBankArena(cfg.Banks(), cfg.BankCycle),
-		banks: make([]*memory.Bank, cfg.Banks()),
 		cur:   make([][]*access, cfg.Processors),
 		free:  make([]sim.Slot, cfg.Processors),
 		trace: trace,
 		pool:  make([][]*access, cfg.Processors),
 		stage: make([]procStage, cfg.Processors),
-	}
-	for i := range m.banks {
-		m.banks[i] = m.ar.Bank(i)
 	}
 	m.procNames = numberedNames("P", cfg.Processors)
 	m.bankNames = numberedNames("Bank", cfg.Banks())
@@ -244,12 +237,9 @@ func (m *CFMemory) Config() Config { return m.cfg }
 // ATSpace returns the partitioning in force.
 func (m *CFMemory) ATSpace() *ATSpace { return m.at }
 
-// Bank exposes a bank for tests and higher layers.
-func (m *CFMemory) Bank(i int) *memory.Bank { return m.banks[i] }
-
 // PeekBlock reads a block without simulated timing (for assertions).
 func (m *CFMemory) PeekBlock(offset int) memory.Block {
-	b := make(memory.Block, len(m.banks))
+	b := make(memory.Block, m.ar.Banks())
 	for i := range b {
 		b[i] = m.ar.Peek(i, offset)
 	}
@@ -258,8 +248,8 @@ func (m *CFMemory) PeekBlock(offset int) memory.Block {
 
 // PokeBlock writes a block without simulated timing.
 func (m *CFMemory) PokeBlock(offset int, blk memory.Block) {
-	if len(blk) != len(m.banks) {
-		panic(fmt.Sprintf("core: block of %d words, want %d", len(blk), len(m.banks)))
+	if len(blk) != m.ar.Banks() {
+		panic(fmt.Sprintf("core: block of %d words, want %d", len(blk), m.ar.Banks()))
 	}
 	for i := range blk {
 		m.ar.Poke(i, offset, blk[i])

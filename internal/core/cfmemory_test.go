@@ -135,7 +135,7 @@ func TestCFMemorySaturationThroughput(t *testing.T) {
 	}
 	// Banks are fully pipelined: accesses per bank ≈ slots/c.
 	for i := 0; i < cfg.Banks(); i++ {
-		if acc := m.Bank(i).Accesses(); acc < slots/int64(cfg.BankCycle)-int64(cfg.Banks()) {
+		if acc := m.ar.Accesses(i); acc < slots/int64(cfg.BankCycle)-int64(cfg.Banks()) {
 			t.Fatalf("bank %d served %d word accesses, want ~%d (full pipeline)",
 				i, acc, slots/int64(cfg.BankCycle))
 		}

@@ -38,7 +38,7 @@ type ClusterSystem struct {
 	// stage buffers each cluster shard's deferred side effects (remote
 	// completion counts and reply callbacks); FinishShards folds them in
 	// ascending cluster order.
-	//cfm:rebuilt
+	//cfm:no-save fold scratch, drained by FinishShards before any checkpoint boundary
 	stage []clusterStage
 
 	// RemoteCompleted counts served remote accesses.
@@ -54,9 +54,6 @@ type ClusterSystem struct {
 	// a checkpoint (set via SetReplyRebinder; required only when the
 	// snapshot holds queued or in-service requests that carried one).
 	replyRebind func(cluster int, kind AccessKind, offset int, arrive sim.Slot) func(memory.Block, sim.Slot)
-	// localDoneRebind reconstructs a harness local-access callback while
-	// restoring (set via SetLocalDoneRebinder).
-	localDoneRebind func(cluster, proc int, kind AccessKind, offset int, start sim.Slot) func(memory.Block)
 }
 
 // clusterStage buffers one cluster shard's per-phase side effects.
@@ -114,6 +111,7 @@ func NewClusterSystem(cfg Config, numClusters, localProc, linkDelay int) *Cluste
 	for i := 0; i < numClusters; i++ {
 		cs.clusters = append(cs.clusters, NewCFMemory(cfg, nil))
 	}
+	cs.bindMembers()
 	return cs
 }
 
@@ -133,9 +131,6 @@ func (cs *ClusterSystem) Instrument(r *metrics.Registry) {
 
 // Cluster exposes cluster i's memory.
 func (cs *ClusterSystem) Cluster(i int) *CFMemory { return cs.clusters[i] }
-
-// LocalProcessors returns the installed processors per cluster.
-func (cs *ClusterSystem) LocalProcessors() int { return cs.localProc }
 
 // LocalRead starts an ordinary conflict-free read by processor p (< local
 // processors) of its own cluster.

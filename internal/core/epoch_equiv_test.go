@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"cfm/internal/flight"
 	"cfm/internal/memory"
 	"cfm/internal/sim"
 )
@@ -13,10 +14,13 @@ import (
 // ticker — so a plan containing nothing but the CFMemory stays
 // all-shardable and, on a batching engine, actually batches. The chunk
 // lengths are deliberately not multiples of the episode length, so
-// accesses stay in flight across episode truncations.
-func driveCFM(eng sim.Engine, cfg Config) (m *CFMemory, tr *sim.Trace) {
+// accesses stay in flight across episode truncations. The memory
+// records its spans into rec.
+func driveCFM(eng sim.Engine, cfg Config) (m *CFMemory, tr *sim.Trace, rec *flight.Recorder) {
 	tr = sim.NewTrace()
+	rec = flight.NewRecorder(0)
 	m = NewCFMemory(cfg, tr)
+	m.RecordFlight(rec)
 	eng.Register(m)
 	for blk := 0; blk < 4; blk++ {
 		b := make(memory.Block, cfg.Banks())
@@ -52,20 +56,21 @@ func driveCFM(eng sim.Engine, cfg Config) (m *CFMemory, tr *sim.Trace) {
 		m.StartRead(now, p, (p+2)%4, nil)
 	}
 	chunk(int64(cfg.BlockTime()) + 2)
-	return m, tr
+	return m, tr, rec
 }
 
 // TestCFMemoryEpochEquivalence pins the batched CFMemory against the
 // serial oracle: completions, block contents, the order-sensitive trace
-// digest, and the full snapshot byte stream must all come out identical
+// digest, the span stream, and the full snapshot byte stream must all
+// come out identical
 // when the engine folds whole episodes through FinishEpoch.
 func TestCFMemoryEpochEquivalence(t *testing.T) {
 	for _, cfg := range []Config{cfg41(), cfg42(), {Processors: 8, BankCycle: 2, WordWidth: 16}} {
-		sm, str := driveCFM(sim.NewClock(), cfg)
+		sm, str, srec := driveCFM(sim.NewClock(), cfg)
 
 		pc := sim.NewParallelClock(2)
 		pc.SetEpochBatch(4)
-		bm, btr := driveCFM(pc, cfg)
+		bm, btr, brec := driveCFM(pc, cfg)
 		pc.Close()
 
 		if bm.Completed != sm.Completed {
@@ -79,6 +84,15 @@ func TestCFMemoryEpochEquivalence(t *testing.T) {
 		if btr.Digest() != str.Digest() {
 			t.Fatalf("%+v: trace digest diverged under batching:\nbatched:\n%s\nserial:\n%s",
 				cfg, btr, str)
+		}
+		// The spans pass FinishEpoch's slot-major merge of the staged
+		// bank-service and retire events; the stream must not move.
+		if srec.Len() == 0 {
+			t.Fatalf("%+v: no spans recorded: the comparison is vacuous", cfg)
+		}
+		if !bytes.Equal(flight.Encode(brec.Events()), flight.Encode(srec.Events())) {
+			t.Fatalf("%+v: span stream diverged under batching:\nbatched: %v\nserial:  %v",
+				cfg, brec.Events(), srec.Events())
 		}
 		benc, senc := sim.NewStateEncoder(), sim.NewStateEncoder()
 		bm.SaveState(benc)

@@ -10,13 +10,13 @@ import (
 // remote request carried one, and restoring such a snapshot requires the
 // owning layer (ClusterSystem internally, the harness via the rebinder
 // hooks) to reconstruct the closure. Save fails loudly — via Failf —
-// rather than silently dropping a callback that the resumed run would
-// then never fire.
+// when a callback has nothing to rebuild it, rather than writing a
+// snapshot that no restore can accept.
 
 // SetDoneRebinder installs the hook LoadState uses to reconstruct the
 // completion callbacks of in-flight accesses. A harness that checkpoints
 // while accesses with callbacks are in flight must install one before
-// restoring; returning nil from the hook fails the restore.
+// checkpointing; returning nil from the hook fails the restore.
 func (m *CFMemory) SetDoneRebinder(f func(proc int, kind AccessKind, offset int, start sim.Slot) func(memory.Block)) {
 	m.doneRebind = f
 }
@@ -26,13 +26,15 @@ func (m *CFMemory) SetDoneRebinder(f func(proc int, kind AccessKind, offset int,
 // per-processor address-path clocks, and the completion count. The AT
 // space, pools, and stage buffers are configuration or scratch.
 func (m *CFMemory) SaveState(enc *sim.StateEncoder) {
-	for _, bk := range m.banks {
-		bk.SaveState(enc)
-	}
+	m.ar.SaveState(enc)
 	enc.Int(len(m.cur))
 	for p := range m.cur {
 		enc.Int(len(m.cur[p]))
 		for _, a := range m.cur[p] {
+			if a.done != nil && m.doneRebind == nil {
+				enc.Failf("core: P%d's in-flight %s carries a completion callback but no rebinder is installed (SetDoneRebinder)", p, a.kind)
+				return
+			}
 			enc.Int(int(a.kind))
 			enc.Int(a.offset)
 			enc.Slot(a.start)
@@ -46,9 +48,7 @@ func (m *CFMemory) SaveState(enc *sim.StateEncoder) {
 
 // LoadState implements sim.Stater.
 func (m *CFMemory) LoadState(dec *sim.StateDecoder) {
-	for _, bk := range m.banks {
-		bk.LoadState(dec)
-	}
+	m.ar.LoadState(dec)
 	if n := dec.Count(); n != len(m.cur) && dec.Err() == nil {
 		dec.Failf("core: snapshot has %d processors, memory has %d", n, len(m.cur))
 		return
@@ -145,21 +145,23 @@ func (cs *ClusterSystem) SetReplyRebinder(f func(cluster int, kind AccessKind, o
 	cs.replyRebind = f
 }
 
-// SetLocalDoneRebinder installs the hook LoadState uses to reconstruct
-// harness callbacks of in-flight LOCAL accesses (processors below the
-// free division). Remote-service callbacks are rebuilt internally.
-func (cs *ClusterSystem) SetLocalDoneRebinder(f func(cluster, proc int, kind AccessKind, offset int, start sim.Slot) func(memory.Block)) {
-	cs.localDoneRebind = f
-}
-
 // SaveState implements sim.Stater for the multi-cluster system: the
 // served-remote count, then per cluster its pending queue, its
 // in-service requests, and its member memory's full state. Topology and
-// link delays are configuration.
+// link delays are configuration. A local access's completion callback
+// belongs to the caller and nothing can rebuild it, so saving one fails.
 func (cs *ClusterSystem) SaveState(enc *sim.StateEncoder) {
 	enc.I64(cs.RemoteCompleted)
 	enc.Int(len(cs.clusters))
 	for ci, cl := range cs.clusters {
+		for p := 0; p < cs.localProc; p++ {
+			for _, a := range cl.cur[p] {
+				if a.done != nil {
+					enc.Failf("core: cluster %d P%d's in-flight local %s carries a completion callback, which a restore cannot rebuild", ci, p, a.kind)
+					return
+				}
+			}
+		}
 		sim.SaveQueue(enc, &cs.queues[ci], saveRemoteReq)
 		enc.Int(len(cs.serving[ci]))
 		for _, rec := range cs.serving[ci] {
@@ -172,8 +174,8 @@ func (cs *ClusterSystem) SaveState(enc *sim.StateEncoder) {
 
 // LoadState implements sim.Stater. In-service requests are loaded before
 // the member memory so the memory's in-flight free-division accesses can
-// rebind their completion callbacks to freshly built reply closures;
-// local-access callbacks delegate to the harness rebinder.
+// rebind their completion callbacks (see bindMembers) to freshly built
+// reply closures.
 func (cs *ClusterSystem) LoadState(dec *sim.StateDecoder) {
 	cs.RemoteCompleted = dec.I64()
 	if n := dec.Count(); n != len(cs.clusters) && dec.Err() == nil {
@@ -195,24 +197,31 @@ func (cs *ClusterSystem) LoadState(dec *sim.StateDecoder) {
 		if dec.Err() != nil {
 			return
 		}
-		cl.SetDoneRebinder(func(proc int, kind AccessKind, offset int, start sim.Slot) func(memory.Block) {
-			if proc == cs.freeDiv {
-				for _, rec := range cs.serving[ci] {
-					if rec.start == start {
-						return cs.makeReply(ci, rec)
-					}
-				}
-				return nil // no in-service record matches: fail the restore
-			}
-			if cs.localDoneRebind == nil {
-				return nil
-			}
-			return cs.localDoneRebind(ci, proc, kind, offset, start)
-		})
 		cl.LoadState(dec)
 		if dec.Err() != nil {
 			return
 		}
+	}
+}
+
+// bindMembers installs each member memory's done rebinder: a restored
+// free-division access gets the reply closure of the in-service record
+// that dispatched it. Local accesses never reach it, since SaveState
+// refuses to write their callbacks.
+func (cs *ClusterSystem) bindMembers() {
+	for ci, cl := range cs.clusters {
+		ci := ci
+		cl.SetDoneRebinder(func(proc int, kind AccessKind, offset int, start sim.Slot) func(memory.Block) {
+			if proc != cs.freeDiv {
+				return nil
+			}
+			for _, rec := range cs.serving[ci] {
+				if rec.start == start {
+					return cs.makeReply(ci, rec)
+				}
+			}
+			return nil // no in-service record matches: fail the restore
+		})
 	}
 }
 

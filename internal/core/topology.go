@@ -172,13 +172,3 @@ func (cs *ClusterSystem) RemoteReadFrom(t sim.Slot, fromCluster, toCluster, offs
 		arrive: t + sim.Slot(d), replyTo: done, replyDelay: d,
 	})
 }
-
-// RemoteWriteFrom issues a write from fromCluster against toCluster.
-func (cs *ClusterSystem) RemoteWriteFrom(t sim.Slot, fromCluster, toCluster, offset int, data memory.Block, done func(memory.Block, sim.Slot)) {
-	d := cs.linkDelayBetween(fromCluster, toCluster)
-	cs.id.Wake()
-	cs.queues[toCluster].Push(&remoteReq{
-		kind: WriteBlock, offset: offset, data: data.Clone(),
-		arrive: t + sim.Slot(d), replyTo: done, replyDelay: d,
-	})
-}

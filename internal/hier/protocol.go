@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cfm/internal/cache"
-	"cfm/internal/flight"
 	"cfm/internal/memory"
 	"cfm/internal/sim"
 )
@@ -35,15 +34,8 @@ func (s *System) checkIDs(cl, p int) {
 	}
 }
 
-// release frees the processor at slot t and retires its request's span.
-func (s *System) release(cl, p int, t sim.Slot) {
-	s.procBusy[cl][p] = t + 1
-	if s.flt.Enabled() {
-		a := s.fltActor(cl, p)
-		issued := s.fltStart[cl][p]
-		s.flt.Emit(flight.ComposeID(a, issued), t, flight.StageRetire, int32(a), int64(t-issued))
-	}
-}
+// release frees the processor at slot t.
+func (s *System) release(cl, p int, t sim.Slot) { s.procBusy[cl][p] = t + 1 }
 
 // ---- Load ----
 

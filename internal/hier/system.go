@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cfm/internal/cache"
-	"cfm/internal/flight"
 	"cfm/internal/memory"
 	"cfm/internal/sim"
 )
@@ -80,13 +79,6 @@ type System struct {
 	now        sim.Slot
 	trace      *sim.Trace
 
-	// Flight recorder (nil when unobserved) and the start slot of each
-	// processor's in-flight request: the hierarchy's spans cover whole
-	// processor requests (issue at dispatch, retire at release), the
-	// protocol steps between being event closures with no stable identity.
-	flt      *flight.Recorder
-	fltStart [][]sim.Slot
-
 	// Statistics.
 	L1Hits, L1Misses  int64
 	L2Hits, L2Misses  int64
@@ -124,19 +116,8 @@ func NewSystem(cfg Config, trace *sim.Trace) *System {
 		s.procBusy[cl] = make([]sim.Slot, cfg.ProcsPerCluster)
 		s.pending[cl] = make([][]func(sim.Slot), cfg.ProcsPerCluster)
 	}
-	s.fltStart = make([][]sim.Slot, cfg.Clusters)
-	for cl := range s.fltStart {
-		s.fltStart[cl] = make([]sim.Slot, cfg.ProcsPerCluster)
-	}
 	return s
 }
-
-// RecordFlight attaches a flight recorder: each processor request spans
-// from its dispatch to its release. Call before running; nil detaches.
-func (s *System) RecordFlight(r *flight.Recorder) { s.flt = r }
-
-// fltActor flattens (cluster, proc) into a single span actor id.
-func (s *System) fltActor(cl, p int) int { return cl*s.cfg.ProcsPerCluster + p }
 
 // Model returns the latency model in force.
 func (s *System) Model() LatencyModel { return s.model }
@@ -218,11 +199,6 @@ func (s *System) Tick(t sim.Slot, ph sim.Phase) {
 				req := s.pending[cl][p][0]
 				s.pending[cl][p] = s.pending[cl][p][1:]
 				s.procBusy[cl][p] = t + 1<<30 // until the chain releases it
-				s.fltStart[cl][p] = t
-				if s.flt.Enabled() {
-					a := s.fltActor(cl, p)
-					s.flt.Emit(flight.ComposeID(a, t), t, flight.StageIssue, int32(a), 0)
-				}
 				req(t)
 			}
 		}

@@ -30,7 +30,7 @@ func TestBankArenaTimedAccessAllocFree(t *testing.T) {
 	}
 	var acc int64
 	for i := 0; i < banks; i++ {
-		acc += ar.Bank(i).Accesses()
+		acc += ar.Accesses(i)
 	}
 	if acc == 0 {
 		t.Fatal("no accesses served: guard is vacuous")
@@ -78,17 +78,13 @@ func FuzzBankArenaPageRoundTrip(f *testing.F) {
 			}
 		}
 		enc := sim.NewStateEncoder()
-		for i := 0; i < banks; i++ {
-			ar.Bank(i).SaveState(enc)
-		}
+		ar.SaveState(enc)
 		if enc.Err() != nil {
 			t.Fatalf("snapshot failed: %v", enc.Err())
 		}
 		ar2 := NewBankArena(banks, 2)
 		dec := sim.NewStateDecoder(enc.Bytes())
-		for i := 0; i < banks; i++ {
-			ar2.Bank(i).LoadState(dec)
-		}
+		ar2.LoadState(dec)
 		if dec.Err() != nil {
 			t.Fatalf("restore failed: %v", dec.Err())
 		}
@@ -100,9 +96,7 @@ func FuzzBankArenaPageRoundTrip(f *testing.F) {
 			}
 		}
 		enc2 := sim.NewStateEncoder()
-		for i := 0; i < banks; i++ {
-			ar2.Bank(i).SaveState(enc2)
-		}
+		ar2.SaveState(enc2)
 		if string(enc.Bytes()) != string(enc2.Bytes()) {
 			t.Fatal("snapshot bytes not stable across a save/load/save round trip")
 		}

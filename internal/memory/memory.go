@@ -68,11 +68,16 @@ const (
 // corrupted checkpoint cannot demand an absurd directory allocation.
 const maxSnapshotOffset = 1 << 28
 
-// BankArena owns the state of a fleet of banks as struct-of-arrays:
-// flat parallel arrays indexed by bank, plus a paged word store shared
-// by the fleet. Timing state, statistics, and contents for bank i all
-// sit at index i of primitive-element slices, so a dense tick loop over
-// the fleet sweeps contiguous memory with no per-bank pointer chasing.
+// BankArena owns the state of a fleet of memory banks: word-addressed
+// storage plus the timing state needed to model a bank cycle of c CPU
+// cycles. A bank can accept a new word access only when it is not busy;
+// accepting one makes it busy for the next c slots.
+//
+// The fleet is held as struct-of-arrays: flat parallel arrays indexed
+// by bank, plus a paged word store shared by the fleet. Timing state,
+// statistics, and contents for bank i all sit at index i of
+// primitive-element slices, so a dense tick loop over the fleet sweeps
+// contiguous memory with no per-bank pointer chasing.
 //
 // Word storage is paged: a page holds pageWords consecutive offsets of
 // one bank. Pages for the same page number are allocated for all banks
@@ -109,12 +114,10 @@ type BankArena struct {
 	// may share one handle to aggregate into a single metric.
 	mAccesses  []*metrics.Counter //cfm:soa-ok cold observation handles, not ticked state
 	mConflicts []*metrics.Counter //cfm:soa-ok cold observation handles, not ticked state
-
-	banks []Bank //cfm:soa-ok facades are cold handles over arena indices
 }
 
 // NewBankArena returns an arena of n idle banks sharing bank cycle c
-// (≥ 1). Bank i initially carries id i.
+// (≥ 1).
 func NewBankArena(n, c int) *BankArena {
 	if n < 1 {
 		panic(fmt.Sprintf("memory: bank count %d < 1", n))
@@ -122,7 +125,7 @@ func NewBankArena(n, c int) *BankArena {
 	if c < 1 {
 		panic(fmt.Sprintf("memory: bank cycle %d < 1", c))
 	}
-	ar := &BankArena{
+	return &BankArena{
 		cycle:      c,
 		nbanks:     n,
 		busyTill:   make([]sim.Slot, n),
@@ -130,12 +133,7 @@ func NewBankArena(n, c int) *BankArena {
 		conflicts:  make([]int64, n),
 		mAccesses:  make([]*metrics.Counter, n),
 		mConflicts: make([]*metrics.Counter, n),
-		banks:      make([]Bank, n),
 	}
-	for i := range ar.banks {
-		ar.banks[i] = Bank{ar: ar, idx: i, id: i}
-	}
-	return ar
 }
 
 // Banks returns the number of banks in the arena.
@@ -144,11 +142,10 @@ func (ar *BankArena) Banks() int { return ar.nbanks }
 // Cycle returns the shared bank cycle c.
 func (ar *BankArena) Cycle() int { return ar.cycle }
 
-// Bank returns the facade for bank i. The facade is owned by the arena,
-// so repeated calls return the same pointer.
-func (ar *BankArena) Bank(i int) *Bank { return &ar.banks[i] }
-
-// Observe attaches registry counters to bank i (see Bank.Observe).
+// Observe attaches registry counters for bank i's accepted accesses and
+// rejected conflicts. Several banks may share the same handles to
+// aggregate into one metric (e.g. all banks of a CFMemory). Nil handles
+// disable observation.
 func (ar *BankArena) Observe(i int, accesses, conflicts *metrics.Counter) {
 	ar.mAccesses[i] = accesses
 	ar.mConflicts[i] = conflicts
@@ -278,75 +275,8 @@ func (ar *BankArena) Reset(i int) {
 	ar.conflicts[i] = 0
 }
 
-// Bank is a single memory bank: word-addressed storage plus the timing
-// state needed to model a bank cycle of c CPU cycles. A bank can accept a
-// new word access only when it is not busy; accepting one makes it busy
-// for the next c slots.
-//
-// Since the SoA refactor a Bank is a thin facade over an index into a
-// BankArena; fleets tick the arena's dense arrays directly and hand out
-// facades for per-bank inspection, snapshots, and tests.
-type Bank struct {
-	ar  *BankArena
-	idx int
-	id  int
-}
+// Accesses returns the number of accepted word accesses of bank i.
+func (ar *BankArena) Accesses(i int) int64 { return ar.accesses[i] }
 
-// NewBank returns an idle bank with the given id and bank cycle c (≥ 1),
-// backed by its own single-bank arena.
-func NewBank(id, c int) *Bank {
-	ar := NewBankArena(1, c)
-	ar.banks[0].id = id
-	return &ar.banks[0]
-}
-
-// ID returns the bank number.
-func (bk *Bank) ID() int { return bk.id }
-
-// Cycle returns the bank cycle c.
-func (bk *Bank) Cycle() int { return bk.ar.cycle }
-
-// Arena returns the arena backing this bank.
-func (bk *Bank) Arena() *BankArena { return bk.ar }
-
-// Index returns the bank's index within its arena.
-func (bk *Bank) Index() int { return bk.idx }
-
-// Observe attaches registry counters for accepted accesses and rejected
-// conflicts. Several banks may share the same handles to aggregate into
-// one metric (e.g. all banks of a CFMemory). Nil handles disable
-// observation.
-func (bk *Bank) Observe(accesses, conflicts *metrics.Counter) {
-	bk.ar.Observe(bk.idx, accesses, conflicts)
-}
-
-// Busy reports whether the bank is still serving an access at slot t.
-func (bk *Bank) Busy(t sim.Slot) bool { return bk.ar.Busy(bk.idx, t) }
-
-// Peek reads a word without touching timing state (for tests and
-// assertions, not for simulated accesses).
-func (bk *Bank) Peek(offset int) Word { return bk.ar.Peek(bk.idx, offset) }
-
-// Poke writes a word without touching timing state.
-func (bk *Bank) Poke(offset int, w Word) { bk.ar.Poke(bk.idx, offset, w) }
-
-// Read performs a timed word read at slot t. ok is false (and the access
-// is rejected, counting a conflict) if the bank is busy.
-func (bk *Bank) Read(t sim.Slot, offset int) (w Word, ok bool) {
-	return bk.ar.Read(t, bk.idx, offset)
-}
-
-// Write performs a timed word write at slot t. ok is false (and the
-// access is rejected, counting a conflict) if the bank is busy.
-func (bk *Bank) Write(t sim.Slot, offset int, w Word) bool {
-	return bk.ar.Write(t, bk.idx, offset, w)
-}
-
-// Accesses returns the number of accepted word accesses.
-func (bk *Bank) Accesses() int64 { return bk.ar.accesses[bk.idx] }
-
-// Conflicts returns the number of rejected attempts while busy.
-func (bk *Bank) Conflicts() int64 { return bk.ar.conflicts[bk.idx] }
-
-// Reset clears timing state and statistics but keeps contents.
-func (bk *Bank) Reset() { bk.ar.Reset(bk.idx) }
+// Conflicts returns the number of rejected attempts on bank i while busy.
+func (ar *BankArena) Conflicts(i int) int64 { return ar.conflicts[i] }

@@ -39,11 +39,11 @@ func TestBlockEqual(t *testing.T) {
 }
 
 func TestBankReadWriteRoundTrip(t *testing.T) {
-	bk := NewBank(0, 1)
-	if ok := bk.Write(0, 5, 42); !ok {
+	ar := NewBankArena(1, 1)
+	if ok := ar.Write(0, 0, 5, 42); !ok {
 		t.Fatal("write rejected on idle bank")
 	}
-	w, ok := bk.Read(1, 5)
+	w, ok := ar.Read(1, 0, 5)
 	if !ok {
 		t.Fatal("read rejected on idle bank")
 	}
@@ -53,42 +53,42 @@ func TestBankReadWriteRoundTrip(t *testing.T) {
 }
 
 func TestBankBusyForCycleCycles(t *testing.T) {
-	bk := NewBank(0, 3)
-	if !bk.Write(10, 0, 1) {
+	ar := NewBankArena(1, 3)
+	if !ar.Write(10, 0, 0, 1) {
 		t.Fatal("first write rejected")
 	}
 	for dt := sim.Slot(0); dt < 3; dt++ {
-		if !bk.Busy(10 + dt) {
+		if !ar.Busy(0, 10+dt) {
 			t.Fatalf("bank not busy at slot %d (cycle=3)", 10+dt)
 		}
 	}
-	if bk.Busy(13) {
+	if ar.Busy(0, 13) {
 		t.Fatal("bank still busy at slot 13 after 3-cycle access at 10")
 	}
 }
 
 func TestBankRejectsWhileBusy(t *testing.T) {
-	bk := NewBank(0, 2)
-	bk.Write(0, 0, 1)
-	if bk.Write(1, 1, 2) {
+	ar := NewBankArena(1, 2)
+	ar.Write(0, 0, 0, 1)
+	if ar.Write(1, 0, 1, 2) {
 		t.Fatal("write accepted while busy")
 	}
-	if _, ok := bk.Read(1, 0); ok {
+	if _, ok := ar.Read(1, 0, 0); ok {
 		t.Fatal("read accepted while busy")
 	}
-	if bk.Conflicts() != 2 {
-		t.Fatalf("Conflicts = %d, want 2", bk.Conflicts())
+	if ar.Conflicts(0) != 2 {
+		t.Fatalf("Conflicts = %d, want 2", ar.Conflicts(0))
 	}
-	if bk.Accesses() != 1 {
-		t.Fatalf("Accesses = %d, want 1", bk.Accesses())
+	if ar.Accesses(0) != 1 {
+		t.Fatalf("Accesses = %d, want 1", ar.Accesses(0))
 	}
 }
 
 func TestBankRejectedWriteDoesNotStore(t *testing.T) {
-	bk := NewBank(0, 2)
-	bk.Write(0, 7, 111)
-	bk.Write(1, 7, 222) // rejected
-	if got := bk.Peek(7); got != 111 {
+	ar := NewBankArena(1, 2)
+	ar.Write(0, 0, 7, 111)
+	ar.Write(1, 0, 7, 222) // rejected
+	if got := ar.Peek(0, 7); got != 111 {
 		t.Fatalf("Peek(7) = %d, want 111 (rejected write must not land)", got)
 	}
 }
@@ -96,24 +96,24 @@ func TestBankRejectedWriteDoesNotStore(t *testing.T) {
 func TestBankPanicsOnBadCycle(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewBank(0,0) did not panic")
+			t.Fatal("NewBankArena(1,0) did not panic")
 		}
 	}()
-	NewBank(0, 0)
+	NewBankArena(1, 0)
 }
 
 func TestBankReset(t *testing.T) {
-	bk := NewBank(0, 2)
-	bk.Write(0, 1, 9)
-	bk.Write(1, 1, 9)
-	bk.Reset()
-	if bk.Busy(0) {
+	ar := NewBankArena(1, 2)
+	ar.Write(0, 0, 1, 9)
+	ar.Write(1, 0, 1, 9)
+	ar.Reset(0)
+	if ar.Busy(0, 0) {
 		t.Fatal("busy after Reset")
 	}
-	if bk.Accesses() != 0 || bk.Conflicts() != 0 {
+	if ar.Accesses(0) != 0 || ar.Conflicts(0) != 0 {
 		t.Fatal("stats not cleared by Reset")
 	}
-	if bk.Peek(1) != 9 {
+	if ar.Peek(0, 1) != 9 {
 		t.Fatal("Reset cleared contents; it must keep them")
 	}
 }

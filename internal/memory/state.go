@@ -6,12 +6,26 @@ import (
 	"cfm/internal/sim"
 )
 
-// SaveState implements sim.Stater for a bank: contents (ascending by
-// offset, so the snapshot is byte-stable and matches the sorted-map
-// format of earlier revisions exactly), timing state, and statistics.
-// Identity and bank cycle are configuration.
-func (bk *Bank) SaveState(enc *sim.StateEncoder) {
-	ar, i := bk.ar, bk.idx
+// SaveState implements sim.Stater for the arena: for each bank in
+// order, its contents (ascending by offset, so the snapshot is
+// byte-stable and matches the sorted-map format of earlier revisions
+// exactly), timing state, and statistics. Bank count and cycle are
+// configuration.
+func (ar *BankArena) SaveState(enc *sim.StateEncoder) {
+	for i := 0; i < ar.nbanks; i++ {
+		ar.saveBank(enc, i)
+	}
+}
+
+// LoadState implements sim.Stater.
+func (ar *BankArena) LoadState(dec *sim.StateDecoder) {
+	for i := 0; i < ar.nbanks && dec.Err() == nil; i++ {
+		ar.loadBank(dec, i)
+	}
+}
+
+// saveBank encodes bank i.
+func (ar *BankArena) saveBank(enc *sim.StateEncoder, i int) {
 	n := 0
 	for pn := 0; pn < len(ar.dir); pn++ {
 		if g := ar.dir[pn]; g >= 0 {
@@ -42,9 +56,8 @@ func (bk *Bank) SaveState(enc *sim.StateEncoder) {
 	enc.I64(ar.conflicts[i])
 }
 
-// LoadState implements sim.Stater.
-func (bk *Bank) LoadState(dec *sim.StateDecoder) {
-	ar, i := bk.ar, bk.idx
+// loadBank restores bank i from a saveBank stream.
+func (ar *BankArena) loadBank(dec *sim.StateDecoder, i int) {
 	ar.clearBank(i)
 	n := dec.Count()
 	for k := 0; k < n && dec.Err() == nil; k++ {

@@ -209,23 +209,6 @@ func (c *Circuit) TryEstablish(t int64, src, dst, hold int) bool {
 	return true
 }
 
-// EarliestRelease returns the first slot > t at which some held output
-// line frees, or −1 when nothing is held beyond t. Circuit is passive —
-// drivers that retry blocked paths fold this into their sim.Horizoner
-// answer: a path blocked at t cannot succeed before the earliest
-// release, so slots in between are observable no-ops for the retry.
-func (c *Circuit) EarliestRelease(t int64) int64 {
-	earliest := int64(-1)
-	for j := range c.heldUntil {
-		for _, u := range c.heldUntil[j] {
-			if u > t && (earliest == -1 || u < earliest) {
-				earliest = u
-			}
-		}
-	}
-	return earliest
-}
-
 // BusyOutputs counts output lines still held at slot t (a congestion
 // metric for tests).
 func (c *Circuit) BusyOutputs(t int64) int {

@@ -121,36 +121,3 @@ func (b *BufferedOmega) LoadState(dec *sim.StateDecoder) {
 	b.LatencyHotTotal = dec.I64()
 	b.recount()
 }
-
-// SaveState implements sim.Stater for circuit-switched occupancy: the
-// hold clock of every switch output line plus the path statistics.
-func (c *Circuit) SaveState(enc *sim.StateEncoder) {
-	enc.Int(len(c.heldUntil))
-	for j := range c.heldUntil {
-		enc.Int(len(c.heldUntil[j]))
-		for _, u := range c.heldUntil[j] {
-			enc.I64(u)
-		}
-	}
-	enc.I64(c.Established)
-	enc.I64(c.Blocked)
-}
-
-// LoadState implements sim.Stater.
-func (c *Circuit) LoadState(dec *sim.StateDecoder) {
-	if n := dec.Count(); n != len(c.heldUntil) && dec.Err() == nil {
-		dec.Failf("network: snapshot has %d columns, circuit has %d", n, len(c.heldUntil))
-		return
-	}
-	for j := range c.heldUntil {
-		if n := dec.Count(); n != len(c.heldUntil[j]) && dec.Err() == nil {
-			dec.Failf("network: snapshot column %d has %d lines, circuit has %d", j, n, len(c.heldUntil[j]))
-			return
-		}
-		for i := range c.heldUntil[j] {
-			c.heldUntil[j][i] = dec.I64()
-		}
-	}
-	c.Established = dec.I64()
-	c.Blocked = dec.I64()
-}

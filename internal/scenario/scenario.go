@@ -771,7 +771,7 @@ func Ordering(obs *obsflags.Observatory, p OrderingParams) ([]OrderingRun, error
 		proto := cache.New(cache.Config{Processors: 4, Lines: 8, RetryDelay: 1}, nil)
 		eng := obs.NewEngine()
 		fe := cache.NewFrontend(proto, eng, 0, mode)
-		eng.Register(fe)
+		eng.Register(cache.NewFrontendGroup(fe))
 		eng.Register(proto)
 		for j := 0; j < p.Pairs; j++ {
 			fe.Store(j%p.Offsets, 0, memory.Word(j))

@@ -176,12 +176,14 @@ func scenarios() []scenario {
 			Processors: 8, Modules: 4, BlockWords: 4, BankCycle: 2,
 			Locality: 0.7, AccessRate: 0.1, RetryMean: 4, Seed: 0xabc}, 400, 0),
 		// The conflict-free memory driven by a deterministic
-		// per-processor read/write pattern, traced.
+		// per-processor read/write pattern, traced and recording spans
+		// (the only entry whose CFMemory spans pass the epoch fold).
 		{name: "CFMemoryTraced", build: func(eng cfm.Engine) (func(), func() observation) {
 			cfg := cfm.Config{Processors: 8, BankCycle: 2, WordWidth: 16}
-			p := probes{reg: cfm.NewRegistry(), tr: cfm.NewTrace()}
+			p := probes{reg: cfm.NewRegistry(), tr: cfm.NewTrace(), rec: cfm.NewFlightRecorder(0)}
 			mem := cfm.NewMemory(cfg, p.tr)
 			mem.Instrument(p.reg)
+			mem.RecordFlight(p.rec)
 			left := make([]int, cfg.Processors)
 			for i := range left {
 				left[i] = 6
