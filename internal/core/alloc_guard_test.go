@@ -63,3 +63,24 @@ func TestPartialDenseTickAllocFree(t *testing.T) {
 		t.Fatal("no accesses completed: guard is vacuous")
 	}
 }
+
+// TestPartialSkipAheadAllocFree guards the same steady state on the
+// skip-ahead clock over a nearly idle fleet, the sparse_skip shape: the
+// horizon fold, the clock jump and the per-set bounds TickShard returns
+// on allocate nothing either.
+func TestPartialSkipAheadAllocFree(t *testing.T) {
+	p := NewPartial(PartialConfig{
+		Processors: 64, Modules: 8, BlockWords: 16, BankCycle: 2,
+		Locality: 0.9, AccessRate: 0.001, RetryMean: 4, Seed: 9,
+	})
+	clk := sim.NewClock()
+	clk.SetSkipAhead(true)
+	clk.Register(p)
+	clk.Run(30000) // warm-up: every backlog ring at steady-state depth
+	if avg := testing.AllocsPerRun(20, func() { clk.Run(1000) }); avg != 0 {
+		t.Fatalf("skip-ahead sweep allocates %v times per 1000 slots, want 0", avg)
+	}
+	if p.Completed == 0 || clk.Jumps() == 0 {
+		t.Fatalf("%d accesses completed in %d jumps: guard is vacuous", p.Completed, clk.Jumps())
+	}
+}

@@ -152,6 +152,16 @@ type Partial struct {
 	// serialized.
 	//cfm:rebuilt
 	nextEvent []sim.Slot
+	// setNext[s] bounds contention set s's due list: either the exact
+	// minimum of the set's nextEvent range, or setStale once the set has
+	// ticked since that minimum was taken. While t < setNext[s] no
+	// processor of the set is due, so TickShard returns at once and the
+	// set stages nothing; Horizon re-takes the minimum of the stale sets
+	// only, and the folds skip every set that is not stale. A set that is
+	// due every slot stays stale and is scanned as before. Derived state:
+	// rebuilt after LoadState, never serialized.
+	//cfm:rebuilt
+	setNext []sim.Slot
 	// due is TickShard's scratch list of the set's due processors, as
 	// offsets within the set, in the set's own range [s·m, (s+1)·m) so
 	// shards never share it. It is written only through p.due[base+k]:
@@ -225,6 +235,10 @@ const (
 	procInFlight
 )
 
+// setStale marks a setNext entry whose minimum is out of date. No slot is
+// below it, so a stale set is always scanned.
+const setStale sim.Slot = -1
+
 // NewPartial builds the simulator; it panics on invalid configuration.
 func NewPartial(cfg PartialConfig) *Partial {
 	if err := cfg.Validate(); err != nil {
@@ -243,6 +257,7 @@ func NewPartial(cfg PartialConfig) *Partial {
 		backlog:      make([]sim.Queue[sim.Slot], n),
 		targetMod:    make([]int32, n),
 		nextEvent:    make([]sim.Slot, n),
+		setNext:      make([]sim.Slot, cfg.ClusterSize()),
 		due:          make([]int32, n),
 		home:         make([]int32, n),
 		cs:           cfg.ClusterSize(),
@@ -263,7 +278,26 @@ func NewPartial(cfg PartialConfig) *Partial {
 		p.nextArrival[j] = sim.Slot(p.thinkTime(j))
 		p.nextEvent[j] = p.nextArrival[j]
 	}
+	p.refreshSets()
 	return p
+}
+
+// refreshSets sets every contention set's bound to the exact minimum of
+// its nextEvent range.
+func (p *Partial) refreshSets() {
+	for s := range p.setNext {
+		p.setNext[s] = p.setMin(s)
+	}
+}
+
+// setMin returns the earliest nextEvent of contention set s.
+func (p *Partial) setMin(s int) sim.Slot {
+	m := p.cfg.Modules
+	h := sim.HorizonNone
+	for _, v := range p.nextEvent[s*m : (s+1)*m] {
+		h = min(h, v)
+	}
+	return h
 }
 
 // idx returns processor i's index in the set-major per-processor arrays.
@@ -348,20 +382,22 @@ func (p *Partial) PhaseMask() sim.PhaseMask { return sim.MaskOf(sim.PhaseIssue) 
 // earliest of those events or the next open-loop arrival. Think times
 // and retry delays are drawn at event time from per-processor streams —
 // no event, no draw — so a jump leaves every stream bit-identical.
+//
+// The fold re-takes the minimum of the sets that ticked since the last
+// call (setStale) and reads the others' bounds as they are; that refresh
+// touches derived state only. It relies on the Horizoner contract that
+// every FinishShards of the settled slot has run, since a refreshed set
+// is skipped by the folds.
 func (p *Partial) Horizon(now sim.Slot) sim.Slot {
 	h := sim.HorizonNone
-	for _, v := range p.nextEvent {
-		if v < h {
-			h = v
+	for s, v := range p.setNext {
+		if v == setStale {
+			v = p.setMin(s)
+			p.setNext[s] = v
 		}
-		if h <= now {
-			return now
-		}
+		h = min(h, v)
 	}
-	if h < now {
-		return now
-	}
-	return h
+	return max(h, now)
 }
 
 // Shards implements sim.Shardable: one shard per contention set. Two
@@ -376,7 +412,18 @@ func (p *Partial) Shards() int { return p.cfg.ClusterSize() }
 // ascending processor order. That within-set order is the only ordering
 // the serial/parallel equivalence needs: sets share no port and no
 // stage buffer, and FinishShards folds the stages in set order.
+//
+// A set whose bound is ahead of t has no due processor and returns at
+// once. A set that ticks marks its bound stale, writing the mark only if
+// it is not there yet, so a set that is due every slot writes setNext
+// once and never again.
 func (p *Partial) TickShard(t sim.Slot, ph sim.Phase, s int) {
+	if t < p.setNext[s] {
+		return
+	}
+	if p.setNext[s] != setStale {
+		p.setNext[s] = setStale
+	}
 	st := &p.stage[s]
 	base := s * p.cfg.Modules
 	// First compact the due processors (t >= nextEvent) into the set's
@@ -463,10 +510,14 @@ func (p *Partial) eventSlot(j int) sim.Slot {
 }
 
 // FinishShards implements sim.ShardFinalizer: fold the per-shard
-// measurement deltas into the public counters in shard order.
+// measurement deltas into the public counters in shard order. Only a
+// stale set can have staged anything since the last Horizon.
 func (p *Partial) FinishShards(t sim.Slot, ph sim.Phase) {
 	p.foldCounters()
 	for s := range p.stage {
+		if p.setNext[s] != setStale {
+			continue
+		}
 		st := &p.stage[s]
 		for _, ev := range st.flights {
 			p.flt.Append(ev) //cfm:flight-ok fold drain; st.flights stays empty while recording is off
@@ -475,12 +526,16 @@ func (p *Partial) FinishShards(t sim.Slot, ph sim.Phase) {
 	}
 }
 
-// foldCounters folds and clears every shard's staged counters and
-// latencies. The deltas are summed first so each total and registry
+// foldCounters folds and clears the staged counters and latencies of
+// every set that ticked since the last Horizon (the others staged
+// nothing). The deltas are summed first so each total and registry
 // counter (an atomic) takes one add per fold, not one per shard.
 func (p *Partial) foldCounters() {
 	var completed, retries, latency, local, remote int64
 	for s := range p.stage {
+		if p.setNext[s] != setStale {
+			continue
+		}
 		st := &p.stage[s]
 		completed += st.completed
 		retries += st.retries

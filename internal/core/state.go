@@ -313,11 +313,13 @@ func (p *Partial) LoadState(dec *sim.StateDecoder) {
 	p.TotalLatency = dec.I64()
 	p.LocalAcc = dec.I64()
 	p.RemoteAcc = dec.I64()
-	// nextEvent is derived state (the per-processor quiescence bound the
-	// shard sweep skips on); rebuild it from the restored automata.
+	// nextEvent and setNext are derived state (the per-processor and
+	// per-set quiescence bounds the shard sweep skips on); rebuild them
+	// from the restored automata.
 	for j := range p.nextEvent {
 		p.nextEvent[j] = p.eventSlot(j)
 	}
+	p.refreshSets()
 }
 
 // saveSlots appends a set-major []Slot of length n in processor order.

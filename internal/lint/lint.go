@@ -8,7 +8,7 @@
 //   - rng-discipline: every type holding a *sim.RNG declares whether it
 //     draws at event time or per slot (//cfm:rng=event|slot), and
 //     slot-discipline types pin their Horizon to now.
-//   - phasemask: a PhaseMask()/ActivePhases() literal must agree with
+//   - phasemask: a PhaseMask() literal must agree with
 //     the sim.Phase cases its Tick/TickShard/FinishShards dispatch on.
 //   - hotpath-alloc: no fmt.Sprint*, string concatenation, closure
 //     literals, or uncapped appends in the Tick call graphs of packages

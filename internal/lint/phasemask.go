@@ -19,7 +19,7 @@ var phaseNames = map[string]int{
 var phaseOrder = []string{"PhaseIssue", "PhaseConnect", "PhaseTransfer", "PhaseUpdate"}
 
 // PhaseMaskPass cross-checks each type's declared phase interest — the
-// literal returned by PhaseMask() or ActivePhases() — against the
+// literal returned by PhaseMask() — against the
 // sim.Phase constants its ticking methods (Tick, TickShard,
 // FinishShards) actually dispatch on. An understated mask silently
 // changes the simulation at EVERY worker count (the schedule compiler
@@ -42,7 +42,7 @@ func PhaseMaskPass() *Pass {
 	const name = "phasemask"
 	return &Pass{
 		Name: name,
-		Doc:  "PhaseMask()/ActivePhases() literals must match the sim.Phase cases Tick/TickShard/FinishShards handle",
+		Doc:  "PhaseMask() literals must match the sim.Phase cases Tick/TickShard/FinishShards handle",
 		Run: func(t *Target, r *Reporter) {
 			for _, file := range t.Files {
 				for _, decl := range file.Decls {
@@ -50,7 +50,7 @@ func PhaseMaskPass() *Pass {
 					if !ok || fd.Recv == nil {
 						continue
 					}
-					if fd.Name.Name != "PhaseMask" && fd.Name.Name != "ActivePhases" {
+					if fd.Name.Name != "PhaseMask" {
 						continue
 					}
 					t.checkPhaseMask(name, fd, r)
@@ -60,7 +60,7 @@ func PhaseMaskPass() *Pass {
 	}
 }
 
-// checkPhaseMask analyzes one PhaseMask/ActivePhases declaration.
+// checkPhaseMask analyzes one PhaseMask declaration.
 func (t *Target) checkPhaseMask(pass string, maskDecl *ast.FuncDecl, r *Reporter) {
 	recv := t.receiverTypeName(maskDecl)
 	if recv == nil {
@@ -161,9 +161,8 @@ func (t *Target) phaseConst(id *ast.Ident) (string, bool) {
 	return c.Name(), true
 }
 
-// declaredMask extracts the literal phase set from a PhaseMask or
-// ActivePhases body. literal=false means the mask is computed and the
-// type must be skipped.
+// declaredMask extracts the literal phase set from a PhaseMask body.
+// literal=false means the mask is computed and the type must be skipped.
 func (t *Target) declaredMask(fd *ast.FuncDecl) (map[string]bool, bool) {
 	if fd.Body == nil || len(fd.Body.List) != 1 {
 		return nil, false
@@ -194,20 +193,6 @@ func (t *Target) declaredMask(fd *ast.FuncDecl) (map[string]bool, bool) {
 		}
 		for _, arg := range e.Args {
 			id := baseIdent(arg)
-			if id == nil {
-				return nil, false
-			}
-			ph, isPhase := t.phaseConst(id)
-			if !isPhase {
-				return nil, false
-			}
-			declared[ph] = true
-		}
-		return declared, true
-	case *ast.CompositeLit:
-		// ActivePhases: return []sim.Phase{...}
-		for _, elt := range e.Elts {
-			id := baseIdent(elt)
 			if id == nil {
 				return nil, false
 			}

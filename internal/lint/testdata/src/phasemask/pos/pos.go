@@ -39,19 +39,18 @@ func (o *Overstated) Tick(t sim.Slot, ph sim.Phase) {
 	}
 }
 
-// Legacy uses the slice-based declaration and a guard-return ticker
-// that proves only PhaseConnect is ever handled.
-type Legacy struct{ n int }
+// Guarded declares a phase its guard-return ticker rules out.
+type Guarded struct{ n int }
 
-// ActivePhases declares PhaseTransfer, which the guard rules out.
-func (l *Legacy) ActivePhases() []sim.Phase { // want "never handle sim.PhaseTransfer"
-	return []sim.Phase{sim.PhaseConnect, sim.PhaseTransfer}
+// PhaseMask declares PhaseTransfer, which the guard rules out.
+func (g *Guarded) PhaseMask() sim.PhaseMask { // want "never handle sim.PhaseTransfer"
+	return sim.MaskOf(sim.PhaseConnect, sim.PhaseTransfer)
 }
 
 // Tick guards down to PhaseConnect.
-func (l *Legacy) Tick(t sim.Slot, ph sim.Phase) {
+func (g *Guarded) Tick(t sim.Slot, ph sim.Phase) {
 	if ph != sim.PhaseConnect {
 		return
 	}
-	l.n++
+	g.n++
 }

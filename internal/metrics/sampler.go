@@ -44,9 +44,9 @@ func (s *Sampler) Attach(eng sim.Engine) { eng.RegisterPrio(s, SamplerPrio) }
 // Every returns the sampling period in slots.
 func (s *Sampler) Every() int64 { return int64(s.every) }
 
-// ActivePhases marks the sampler PhaseUpdate-only so the engine drops it
-// from the other phases' schedules.
-func (s *Sampler) ActivePhases() []sim.Phase { return []sim.Phase{sim.PhaseUpdate} }
+// PhaseMask implements sim.PhaseMasker: the sampler is PhaseUpdate-only,
+// so the engine drops it from the other phases' schedules.
+func (s *Sampler) PhaseMask() sim.PhaseMask { return sim.MaskOf(sim.PhaseUpdate) }
 
 // Tick implements sim.Ticker: at the end of every Nth slot it copies all
 // counter and gauge values into a new Sample.

@@ -43,9 +43,9 @@ import (
 // episode loop (episodes). Each worker runs it — worker 0 on the
 // caller's goroutine, the others from a pool of persistent workers
 // parked on the pool gate between runs, so a run costs no goroutine
-// creation. One worker is the same loop on a one-node barrier whose
-// crossings return at once: it starts no goroutine and recovers no
-// panic, so a component's panic reaches the caller unchanged.
+// creation. One worker is the same loop on a one-node barrier, which it
+// never calls: it starts no goroutine and recovers no panic, so a
+// component's panic reaches the caller unchanged.
 //
 // All synchronization is one combining-tree barrier (treebarrier.go):
 // each worker spins on flags in its own cache-line-padded tree node,
@@ -149,11 +149,10 @@ type EpochFinisher interface {
 	FinishEpoch(from, to Slot)
 }
 
-// PhaseAware is the slice-valued predecessor of PhaseMasker: a
-// component lists the phases in which it does any work and the engine
-// omits it from the other phases' schedules entirely. Tick and TickShard
-// MUST be no-ops in phases not listed. New code should implement
-// PhaseMasker; when both are present the mask wins.
+// PhaseAware is the retired slice-valued form of PhaseMasker. The engine
+// no longer reads it: a component that declares only ActivePhases is
+// ticked in every phase. The name stays because bench/cfmbench's
+// interface-parity test asserts against it; delete it with that test.
 type PhaseAware interface {
 	ActivePhases() []Phase
 }
@@ -851,8 +850,10 @@ func (pc *ParallelClock) recordPanic(r any) {
 // another worker's shards until the episode settles. Either way the
 // episode ends with the settle crossing (skipped by a per-slot episode
 // whose last work was serial), worker 0's bookkeeping and decision, and
-// the control-word crossing.
+// the control-word crossing. A lone worker has nobody to wait for, so
+// on a one-node barrier the loop makes no barrier call at all.
 func (pc *ParallelClock) episodes(w int, bar *treeBarrier, sense *uint64) {
+	pool := len(bar.nodes) > 1
 	for {
 		from, to := pc.now, pc.now+Slot(pc.epochLen)
 		perSlot := !pc.batched
@@ -860,7 +861,7 @@ func (pc *ParallelClock) episodes(w int, bar *treeBarrier, sense *uint64) {
 			for ph := Phase(0); ph < numPhases; ph++ {
 				for i := range pc.plan[ph] {
 					seg := &pc.plan[ph][i]
-					if perSlot && seg.barBefore {
+					if pool && perSlot && seg.barBefore {
 						bar.await(w, sense)
 					}
 					if seg.serial != nil {
@@ -875,7 +876,9 @@ func (pc *ParallelClock) episodes(w int, bar *treeBarrier, sense *uint64) {
 					}
 					seg.runShards(t, ph, seg.cuts[w], seg.cuts[w+1])
 					if perSlot && seg.anyFin {
-						bar.await(w, sense)
+						if pool {
+							bar.await(w, sense)
+						}
 						if w == 0 {
 							seg.finish(t, ph)
 						}
@@ -883,14 +886,16 @@ func (pc *ParallelClock) episodes(w int, bar *treeBarrier, sense *uint64) {
 				}
 			}
 		}
-		if !perSlot || pc.ctrlBar {
+		if pool && (!perSlot || pc.ctrlBar) {
 			bar.await(w, sense) // settle: the episode's work is done everywhere
 		}
 		if w == 0 {
 			pc.settle(from, to)
 			pc.cont = pc.decide()
 		}
-		bar.await(w, sense) // control word (and any jump) published
+		if pool {
+			bar.await(w, sense) // control word (and any jump) published
+		}
 		if !pc.cont {
 			return
 		}

@@ -15,8 +15,8 @@
 //	PhaseUpdate   ATTs shift, directories settle, statistics accumulate
 //
 // Components implement Ticker and may narrow the phases they are invoked
-// for with PhaseMask (or the older ActivePhases); the engine compiles a
-// per-phase schedule of only the interested components. Components that
+// for with PhaseMask; the engine compiles a per-phase schedule of only
+// the interested components. Components that
 // go fully quiescent can additionally park themselves on the engine's
 // idle list (see Idler) and be woken by whichever component next touches
 // them, so a drained subsystem costs nothing per slot.
@@ -166,14 +166,11 @@ type PhaseMasker interface {
 	PhaseMask() PhaseMask
 }
 
-// maskOf returns the phases a ticker participates in, consulting
-// PhaseMasker first and the older ActivePhases form second.
+// maskOf returns the phases a ticker participates in: its PhaseMask, or
+// every phase.
 func maskOf(t Ticker) PhaseMask {
 	if pm, ok := t.(PhaseMasker); ok {
 		return pm.PhaseMask() & MaskAll
-	}
-	if pa, ok := t.(PhaseAware); ok {
-		return MaskOf(pa.ActivePhases()...)
 	}
 	return MaskAll
 }
@@ -320,8 +317,8 @@ type Engine interface {
 }
 
 // Clock is the cycle engine at one worker: the episode loop every worker
-// count runs, on the caller's goroutine over a one-node barrier whose
-// crossings return at once. It starts no goroutine and never batches, so
+// count runs, on the caller's goroutine with no barrier call (its pool is
+// one barrier node). It starts no goroutine and never batches, so
 // its episodes are single slots and Stop ends a Run at the slot boundary.
 type Clock = ParallelClock
 
