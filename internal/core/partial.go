@@ -142,31 +142,38 @@ type Partial struct {
 	targetMod []int32
 
 	// nextEvent[j] caches the earliest slot at which the processor stored
-	// at j has any work: its next open-loop arrival, retry wake, or
-	// completion — exactly the per-processor minimum Horizon folds. The
-	// shard sweep consults this ONE dense array and skips a processor
-	// entirely while t < nextEvent[j]; the skipped iterations are no-ops
-	// (no state change, no RNG draw), so a quiescent processor costs one
-	// step of the due-list scan instead of a walk over every
-	// per-processor array. Derived state: rebuilt after LoadState, never
-	// serialized.
+	// at j can act: an idle processor's next open-loop arrival, a waiting
+	// one's retry wake, an in-flight one's completion (eventSlot). A busy
+	// processor's arrivals only join its backlog, so they are not events
+	// of their own: tickProc draws them when the processor next acts
+	// (see finished). The shard sweep consults this ONE dense array and
+	// skips a processor entirely while t < nextEvent[j]; the skipped
+	// iterations are no-ops (no state change, no RNG draw), so a quiescent
+	// processor costs one step of the due-list scan instead of a walk
+	// over every per-processor array. Derived state: rebuilt after
+	// LoadState, never serialized.
 	//cfm:rebuilt
 	nextEvent []sim.Slot
 	// setNext[s] bounds contention set s's due list: either the exact
-	// minimum of the set's nextEvent range, or setStale once the set has
-	// ticked since that minimum was taken. While t < setNext[s] no
-	// processor of the set is due, so TickShard returns at once and the
-	// set stages nothing; Horizon re-takes the minimum of the stale sets
-	// only, and the folds skip every set that is not stale. A set that is
-	// due every slot stays stale and is scanned as before. Derived state:
-	// rebuilt after LoadState, never serialized.
+	// minimum, over the set, of nextEvent and the next arrival an eager
+	// sweep would hold (setMin), or setStale once the set has ticked
+	// since that minimum was taken. While t < setNext[s] no processor of
+	// the set is due, so TickShard returns at once and the set stages
+	// nothing; Horizon re-takes the minimum of the stale sets only, and
+	// the folds skip every set that is not stale. A set that is due every
+	// slot stays stale and is scanned as before. Derived state: rebuilt
+	// after LoadState, never serialized.
 	//cfm:rebuilt
 	setNext []sim.Slot
+	// finished is the last slot FinishShards or FinishEpoch folded (−1
+	// before the first). A busy processor may hold arrivals through it
+	// that it has not drawn yet; settle draws them, and setMin folds the
+	// arrival they lead to without drawing.
+	//cfm:no-save SaveState settles every deferred arrival first, so the snapshot holds none and LoadState resets the bound to −1
+	finished sim.Slot
 	// due is TickShard's scratch list of the set's due processors, as
 	// offsets within the set, in the set's own range [s·m, (s+1)·m) so
-	// shards never share it. It is written only through p.due[base+k]:
-	// the shard-purity lint cannot prove a write through a local
-	// sub-slice of it shard-owned.
+	// shards never share it. sim.DueOffsets writes it.
 	//cfm:no-save sweep scratch, rebuilt from nextEvent at the top of every TickShard
 	due []int32
 	// home[j] is the home module of the processor stored at j,
@@ -264,6 +271,7 @@ func NewPartial(cfg PartialConfig) *Partial {
 		bt:           sim.Slot(cfg.BlockTime()),
 		stage:        make([]partialStage, cfg.ClusterSize()),
 		epochCursors: make([]int, cfg.ClusterSize()),
+		finished:     -1,
 	}
 	seeder := sim.NewRNG(cfg.Seed)
 	for i := 0; i < n; i++ {
@@ -275,7 +283,7 @@ func NewPartial(cfg PartialConfig) *Partial {
 			p.nextEvent[j] = p.nextArrival[j]
 			continue
 		}
-		p.nextArrival[j] = sim.Slot(p.thinkTime(j))
+		p.nextArrival[j] = sim.Slot(p.thinkTime(&p.rngs[j]))
 		p.nextEvent[j] = p.nextArrival[j]
 	}
 	p.refreshSets()
@@ -290,14 +298,44 @@ func (p *Partial) refreshSets() {
 	}
 }
 
-// setMin returns the earliest nextEvent of contention set s.
+// setMin returns the earliest slot at which a processor of contention
+// set s acts or an eager sweep would draw an arrival: the minimum of
+// nextEvent and nextArrival. An arrival a busy processor deferred through
+// finished is replaced by the first arrival after finished, computed on
+// a copy of its stream, so the bound is the one the eager sweep had and
+// skip-ahead fires the slots it fired. setMin draws nothing. The replay
+// is a second pass, taken only when the first finds a deferred arrival,
+// so the common case stays a branch-free fold of two arrays.
 func (p *Partial) setMin(s int) sim.Slot {
-	m := p.cfg.Modules
+	lo, hi := s*p.cfg.Modules, (s+1)*p.cfg.Modules
+	ne, na := p.nextEvent[lo:hi], p.nextArrival[lo:hi]
+	na = na[:len(ne)]
 	h := sim.HorizonNone
-	for _, v := range p.nextEvent[s*m : (s+1)*m] {
-		h = min(h, v)
+	for j, v := range ne {
+		h = min(h, v, na[j])
+	}
+	if h > p.finished {
+		return h
+	}
+	h = sim.HorizonNone
+	for j, v := range ne {
+		a, r := na[j], p.rngs[lo+j]
+		for a <= p.finished {
+			a += sim.Slot(p.thinkTime(&r))
+		}
+		h = min(h, v, a)
 	}
 	return h
+}
+
+// settle draws every arrival a busy processor deferred through finished,
+// leaving the state an eager sweep, which drew each arrival at its own
+// slot, would hold. An idle processor is ticked at its arrival, so it
+// never has one to settle.
+func (p *Partial) settle() {
+	for j := range p.nextArrival {
+		p.arrive(j, p.finished)
+	}
 }
 
 // idx returns processor i's index in the set-major per-processor arrays.
@@ -332,13 +370,14 @@ func (p *Partial) Instrument(r *metrics.Registry) {
 // before running; nil detaches.
 func (p *Partial) RecordFlight(r *flight.Recorder) { p.flt = r }
 
-// thinkTime, retryDelay and pickModule draw from the stream of the
-// processor stored at index j.
-func (p *Partial) thinkTime(j int) int {
+// thinkTime draws the gap to a processor's next arrival from its stream
+// r; retryDelay and pickModule draw from the stream of the processor
+// stored at index j.
+func (p *Partial) thinkTime(r *sim.RNG) int {
 	if p.cfg.AccessRate <= 0 {
 		return 1 << 30
 	}
-	return p.rngs[j].Geometric(p.cfg.AccessRate)
+	return r.Geometric(p.cfg.AccessRate)
 }
 
 func (p *Partial) retryDelay(j int) int {
@@ -381,7 +420,11 @@ func (p *Partial) PhaseMask() sim.PhaseMask { return sim.MaskOf(sim.PhaseIssue) 
 // flight with a completion slot, so the next observable work is the
 // earliest of those events or the next open-loop arrival. Think times
 // and retry delays are drawn at event time from per-processor streams —
-// no event, no draw — so a jump leaves every stream bit-identical.
+// no event, no draw — so a jump leaves every stream bit-identical. The
+// fold keeps the arrivals of busy processors, though they are not due
+// in the sweep (see setMin), so a run fires and jumps at the slots an
+// eager sweep did, and SlotsFired and Jumps, which checkpoints carry,
+// do not move.
 //
 // The fold re-takes the minimum of the sets that ticked since the last
 // call (setStale) and reads the others' bounds as they are; that refresh
@@ -425,32 +468,36 @@ func (p *Partial) TickShard(t sim.Slot, ph sim.Phase, s int) {
 		p.setNext[s] = setStale
 	}
 	st := &p.stage[s]
-	base := s * p.cfg.Modules
+	base, end := s*p.cfg.Modules, (s+1)*p.cfg.Modules
 	// First compact the due processors (t >= nextEvent) into the set's
-	// range of the due scratch without a branch: the index is always
-	// written, and k advances by the sign bit of nextEvent−t−1. A
-	// quiescent processor thus costs a store and an add, and no
-	// mispredicted jump. Ticking the list afterwards is the same as
-	// testing in the sweep, since tickProc(j) changes no other
-	// processor's nextEvent.
-	k := 0
-	for c, ne := range p.nextEvent[base : base+p.cfg.Modules] {
-		p.due[base+k] = int32(c)
-		k += int(uint64(ne-t-1) >> 63)
-	}
+	// range of the due scratch, one vector compare per eight processors
+	// where the CPU has AVX-512 and a branch-free loop elsewhere. Ticking
+	// the list afterwards is the same as testing in the sweep, since
+	// tickProc(j) changes no other processor's nextEvent.
+	k := sim.DueOffsets(p.nextEvent[base:end], t, p.due[base:end])
 	for _, c := range p.due[base : base+k] {
 		p.tickProc(t, base+int(c), s, st)
 	}
 }
 
-// tickProc advances the processor stored at index j (in contention set
-// set) at slot t, staging measurement deltas into the set's stage buffer
-// st. The caller guarantees t >= nextEvent[j].
-func (p *Partial) tickProc(t sim.Slot, j, set int, st *partialStage) {
+// arrive pushes every arrival of the processor stored at j through slot
+// t onto its backlog, drawing each next arrival in turn.
+func (p *Partial) arrive(j int, t sim.Slot) {
 	for t >= p.nextArrival[j] {
 		p.backlog[j].Push(p.nextArrival[j])
-		p.nextArrival[j] += sim.Slot(p.thinkTime(j))
+		p.nextArrival[j] += sim.Slot(p.thinkTime(&p.rngs[j]))
 	}
+}
+
+// tickProc advances the processor stored at index j (in contention set
+// set) at slot t, staging measurement deltas into the set's stage buffer
+// st. The caller guarantees t >= nextEvent[j]. Every arrival through t
+// is pushed before the processor draws a module or a retry delay at t,
+// so its stream takes the draws in the order of an eager sweep, which
+// also ticked the processor at each arrival: a busy processor draws
+// only think times until it acts.
+func (p *Partial) tickProc(t sim.Slot, j, set int, st *partialStage) {
+	p.arrive(j, t)
 	switch p.state[j] {
 	case procInFlight:
 		if t >= p.doneAt[j] {
@@ -489,30 +536,28 @@ func (p *Partial) tickProc(t sim.Slot, j, set int, st *partialStage) {
 	p.nextEvent[j] = p.eventSlot(j)
 }
 
-// eventSlot computes the earliest upcoming event of the processor stored
-// at j. A settled processor is idle with an empty backlog (anything
+// eventSlot computes the slot at which the processor stored at j next
+// acts. A settled processor is idle with an empty backlog (anything
 // queued would have issued this slot), waiting with a wake slot, or in
-// flight with a completion slot, so the earliest of those and the next
-// open-loop arrival bounds its quiescence.
+// flight with a completion slot. An idle processor acts at its next
+// open-loop arrival; a busy one at its wake or completion, since an
+// arrival before then only joins the backlog, which nothing reads until
+// the processor can issue again.
 func (p *Partial) eventSlot(j int) sim.Slot {
-	ne := p.nextArrival[j]
 	switch p.state[j] {
 	case procWaiting:
-		if p.wakeAt[j] < ne {
-			ne = p.wakeAt[j]
-		}
+		return p.wakeAt[j]
 	case procInFlight:
-		if p.doneAt[j] < ne {
-			ne = p.doneAt[j]
-		}
+		return p.doneAt[j]
 	}
-	return ne
+	return p.nextArrival[j]
 }
 
 // FinishShards implements sim.ShardFinalizer: fold the per-shard
 // measurement deltas into the public counters in shard order. Only a
 // stale set can have staged anything since the last Horizon.
 func (p *Partial) FinishShards(t sim.Slot, ph sim.Phase) {
+	p.finished = t
 	p.foldCounters()
 	for s := range p.stage {
 		if p.setNext[s] != setStale {
@@ -580,6 +625,7 @@ func (p *Partial) EpochSafe() bool { return true }
 // order — are merged slot-major with per-shard cursors, reproducing
 // the serial (slot, shard, emission) order exactly.
 func (p *Partial) FinishEpoch(from, to sim.Slot) {
+	p.finished = to - 1
 	p.foldCounters()
 	if p.flt.Enabled() {
 		for s := range p.epochCursors {

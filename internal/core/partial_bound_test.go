@@ -9,12 +9,20 @@ import (
 	"cfm/internal/sim"
 )
 
-// bruteHorizon is the horizon by definition: the earliest eventSlot over
-// every processor, clamped to now. It reads no cached bound.
+// bruteHorizon is the horizon by definition: the earliest eventSlot or
+// next arrival over every processor, clamped to now. A busy processor
+// draws its arrivals only when it acts, so its nextArrival may lie
+// before now; the next arrival is then the one an eager sweep would
+// hold, replayed on a copy of the processor's stream. It reads no cached
+// bound.
 func bruteHorizon(p *Partial, now sim.Slot) sim.Slot {
 	h := sim.HorizonNone
 	for j := range p.state {
-		h = min(h, p.eventSlot(j))
+		a, r := p.nextArrival[j], p.rngs[j]
+		for a < now {
+			a += sim.Slot(p.thinkTime(&r))
+		}
+		h = min(h, p.eventSlot(j), a)
 	}
 	return max(h, now)
 }
@@ -38,7 +46,7 @@ func (b *boundPartial) Horizon(now sim.Slot) sim.Slot {
 	b.checks++
 	got := b.Partial.Horizon(now)
 	if got != want {
-		b.t.Errorf("slot %d: Horizon = %d, brute-force minimum of eventSlot = %d", now, got, want)
+		b.t.Errorf("slot %d: Horizon = %d, brute-force minimum of eventSlot and next arrival = %d", now, got, want)
 	}
 	return got
 }
@@ -112,29 +120,40 @@ func runBound(t *testing.T, cfg PartialConfig, m boundMode, slots int64) boundRe
 	}
 }
 
-// TestPartialSetBound pins the per-set event bound behind Partial's
-// skip-ahead sweep. Horizon must equal the brute-force minimum of
-// eventSlot after every Run and at every engine fold; the simulation and
-// its spans must equal the dense run's whatever the bounds let TickShard
-// skip; and a skip-ahead run must fire and jump exactly where a run on
-// the brute-force horizon does. Each shape runs skip-ahead off and on,
-// on one worker and on two with EpochAuto batching, straight through and
-// cut by a checkpoint/restore at mid-run.
-func TestPartialSetBound(t *testing.T) {
-	base := func(n, m int, rate float64, seed uint64) PartialConfig {
-		return PartialConfig{Processors: n, Modules: m, BlockWords: 16, BankCycle: 2,
-			Locality: 0.9, AccessRate: rate, RetryMean: 4, Seed: seed}
-	}
-	placed := base(64, 8, 0.02, 11)
+// boundConfig is the Fig 3.14/3.15 machine (β = 17) at n processors in m
+// clusters.
+func boundConfig(n, m int, rate float64, seed uint64) PartialConfig {
+	return PartialConfig{Processors: n, Modules: m, BlockWords: 16, BankCycle: 2,
+		Locality: 0.9, AccessRate: rate, RetryMean: 4, Seed: seed}
+}
+
+// placedConfig is a 64/8 machine with a Homes placement: processors of
+// contention set 0 and every fifth processor are idle (set 0 is idle
+// throughout), and every job runs three clusters from its home.
+func placedConfig() PartialConfig {
+	placed := boundConfig(64, 8, 0.02, 11)
 	placed.Homes = make([]int, placed.Processors)
 	for p := range placed.Homes {
 		switch {
 		case p%placed.ClusterSize() == 0 || p%5 == 0:
-			placed.Homes[p] = -1 // idle; contention set 0 is idle throughout
+			placed.Homes[p] = -1
 		default:
 			placed.Homes[p] = (placed.Cluster(p) + 3) % placed.Modules
 		}
 	}
+	return placed
+}
+
+// TestPartialSetBound pins the per-set event bound behind Partial's
+// skip-ahead sweep. Horizon must equal the brute-force minimum of
+// eventSlot and next arrival after every Run and at every engine fold;
+// the simulation and its spans must equal the dense run's whatever the
+// bounds let TickShard skip; and a skip-ahead run must fire and jump
+// exactly where a run on the brute-force horizon does. Each shape runs skip-ahead off and on,
+// on one worker and on two with EpochAuto batching, straight through and
+// cut by a checkpoint/restore at mid-run.
+func TestPartialSetBound(t *testing.T) {
+	base, placed := boundConfig, placedConfig()
 	shapes := []struct {
 		name  string
 		cfg   PartialConfig

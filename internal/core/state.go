@@ -232,7 +232,13 @@ func (cs *ClusterSystem) bindMembers() {
 // order — and the ports in (module, set) order — so its bytes do not
 // depend on the in-memory layout. One walk serves both: port
 // (module, set) is k = module·cs + set, which idx maps to set·m + module.
+//
+// Busy processors draw their arrivals when they next act, so SaveState
+// first settles every arrival deferred through the last finished slot:
+// the snapshot is the eager sweep's state, byte for byte, and a restored
+// Partial defers nothing.
 func (p *Partial) SaveState(enc *sim.StateEncoder) {
+	p.settle()
 	enc.Int(len(p.rngs))
 	for i := range p.rngs {
 		enc.RNG(&p.rngs[p.idx(i)])
@@ -315,7 +321,9 @@ func (p *Partial) LoadState(dec *sim.StateDecoder) {
 	p.RemoteAcc = dec.I64()
 	// nextEvent and setNext are derived state (the per-processor and
 	// per-set quiescence bounds the shard sweep skips on); rebuild them
-	// from the restored automata.
+	// from the restored automata. The snapshot was settled, so no arrival
+	// is deferred.
+	p.finished = -1
 	for j := range p.nextEvent {
 		p.nextEvent[j] = p.eventSlot(j)
 	}

@@ -104,22 +104,39 @@ func (sc *stateCover) checkType(ts *ast.TypeSpec) {
 		return // inherited via embedding: the declaring type is checked
 	}
 
-	saved := sc.mentions(saveFD)
-	loaded := sc.mentions(loadFD)
+	saved := sc.mentions(saveFD, true)
+	loaded := sc.mentions(loadFD, false)
 	sc.coverage(ts, obj, saved, loaded)
 	sc.symmetry(obj, saveFD, loadFD)
 }
 
 // mentions collects the depth-1 receiver fields a Save/LoadState graph
 // touches: any recv.F selector in the method body, its closures, or a
-// same-type helper method it calls (c.loadPrimitive(dec, p)).
-func (sc *stateCover) mentions(fd *ast.FuncDecl) map[*types.Var]bool {
+// same-type helper method it calls (c.loadPrimitive(dec, p)). With
+// codecOnly set it follows only the helpers handed the encoder or
+// decoder, as it does for SaveState: a helper without the encoder (one
+// that settles lazily kept state before the encode, say) reads fields
+// but cannot write them to the snapshot. LoadState follows every
+// helper, since a rebuild (refreshSets, say) needs no decoder.
+func (sc *stateCover) mentions(fd *ast.FuncDecl, codecOnly bool) map[*types.Var]bool {
 	out := make(map[*types.Var]bool)
-	sc.collectMentions(sc.t, fd, out, make(map[*ast.FuncDecl]bool), 0)
+	sc.collectMentions(sc.t, fd, out, make(map[*ast.FuncDecl]bool), 0, codecOnly)
 	return out
 }
 
-func (sc *stateCover) collectMentions(tt *Target, fd *ast.FuncDecl, out map[*types.Var]bool, visited map[*ast.FuncDecl]bool, depth int) {
+// passesCodec reports whether call hands a *sim.StateEncoder or
+// *sim.StateDecoder to its callee.
+func passesCodec(tt *Target, call *ast.CallExpr) bool {
+	for _, arg := range call.Args {
+		if ptr, ok := tt.Info.TypeOf(arg).(*types.Pointer); ok &&
+			(isSimNamed(ptr.Elem(), "StateEncoder") || isSimNamed(ptr.Elem(), "StateDecoder")) {
+			return true
+		}
+	}
+	return false
+}
+
+func (sc *stateCover) collectMentions(tt *Target, fd *ast.FuncDecl, out map[*types.Var]bool, visited map[*ast.FuncDecl]bool, depth int, codecOnly bool) {
 	if fd == nil || fd.Body == nil || visited[fd] || depth > 4 {
 		return
 	}
@@ -145,9 +162,12 @@ func (sc *stateCover) collectMentions(tt *Target, fd *ast.FuncDecl, out map[*typ
 			if !ok || tt.Info.Uses[id] != types.Object(recv) {
 				return true
 			}
+			if codecOnly && !passesCodec(tt, n) {
+				return true
+			}
 			if fn := tt.staticCallee(n); fn != nil {
 				callee, ct := tt.declOf(fn)
-				sc.collectMentions(ct, callee, out, visited, depth+1)
+				sc.collectMentions(ct, callee, out, visited, depth+1, codecOnly)
 			}
 		}
 		return true

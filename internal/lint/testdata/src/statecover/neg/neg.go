@@ -244,3 +244,31 @@ func (m *Permuted) loadSlots(dec *sim.StateDecoder, s []sim.Slot) {
 		s[m.at(i)] = dec.Slot()
 	}
 }
+
+// Lazy defers work its ticks could do at once and settles it in SaveState
+// before the encode. SaveState reads the deferral bound through the
+// settle helper, which is not handed the encoder, so the waiver on the
+// bound is not stale.
+type Lazy struct {
+	owed sim.Slot
+	//cfm:no-save SaveState settles everything owed through it, so a restore owes nothing
+	through sim.Slot
+}
+
+func (m *Lazy) Tick(t sim.Slot, ph sim.Phase) { m.through = t }
+
+func (m *Lazy) settle() {
+	for m.owed <= m.through {
+		m.owed++
+	}
+}
+
+func (m *Lazy) SaveState(enc *sim.StateEncoder) {
+	m.settle()
+	enc.Slot(m.owed)
+}
+
+func (m *Lazy) LoadState(dec *sim.StateDecoder) {
+	m.owed = dec.Slot()
+	m.through = -1
+}

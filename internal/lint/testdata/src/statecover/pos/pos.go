@@ -88,6 +88,47 @@ func (m *StaleWaiver) Tick(t sim.Slot, ph sim.Phase) { m.gen++ }
 func (m *StaleWaiver) SaveState(enc *sim.StateEncoder) { enc.U64(m.gen) }
 func (m *StaleWaiver) LoadState(dec *sim.StateDecoder) { m.gen = dec.U64() }
 
+// StaleHelperWaiver waives gen, yet SaveState hands the encoder to a
+// helper that encodes it.
+type StaleHelperWaiver struct {
+	//cfm:no-save reset at phase start anyway
+	gen uint64 // want "waiver is stale"
+}
+
+func (m *StaleHelperWaiver) Tick(t sim.Slot, ph sim.Phase) { m.gen++ }
+
+func (m *StaleHelperWaiver) saveGen(enc *sim.StateEncoder) { enc.U64(m.gen) }
+func (m *StaleHelperWaiver) loadGen(dec *sim.StateDecoder) { m.gen = dec.U64() }
+
+func (m *StaleHelperWaiver) SaveState(enc *sim.StateEncoder) { m.saveGen(enc) }
+func (m *StaleHelperWaiver) LoadState(dec *sim.StateDecoder) { m.loadGen(dec) }
+
+// Settled reads through in SaveState only to settle what it owes, and
+// resets it in LoadState: the settle helper is not handed the encoder,
+// so through is rebuilt, not saved, and needs the marker.
+type Settled struct {
+	owed    sim.Slot
+	through sim.Slot // want "mark the field //cfm:rebuilt"
+}
+
+func (m *Settled) Tick(t sim.Slot, ph sim.Phase) { m.through = t }
+
+func (m *Settled) settle() {
+	for m.owed <= m.through {
+		m.owed++
+	}
+}
+
+func (m *Settled) SaveState(enc *sim.StateEncoder) {
+	m.settle()
+	enc.Slot(m.owed)
+}
+
+func (m *Settled) LoadState(dec *sim.StateDecoder) {
+	m.owed = dec.Slot()
+	m.through = -1
+}
+
 // StaleRebuilt claims cache is derived, yet SaveState encodes it.
 type StaleRebuilt struct {
 	//cfm:rebuilt

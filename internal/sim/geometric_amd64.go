@@ -1,9 +1,9 @@
 package sim
 
-// haveAVX512 reports whether the CPU runs searchAVX512: it needs
-// AVX-512F, AVX-512DQ (for VPMULLQ), and an OS that saves the opmask and
-// ZMM registers. It is fixed at start-up; the result never depends on it,
-// only the speed.
+// haveAVX512 reports whether the CPU runs the AVX-512 kernels,
+// searchAVX512 and dueAVX512: they need AVX-512F, AVX-512DQ (for
+// VPMULLQ), and an OS that saves the opmask and ZMM registers. It is
+// fixed at start-up; the result never depends on it, only the speed.
 var haveAVX512 = detectAVX512()
 
 func detectAVX512() bool {
@@ -34,3 +34,10 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 // xgetbv returns XCR0, the OS-enabled register state, as EDX:EAX.
 func xgetbv() (eax, edx uint32)
+
+// dueAVX512 writes the offsets c in [0, n) with ne[c] ≤ t to out, in
+// ascending order, and returns how many it wrote; n is a positive
+// multiple of 8. It writes nothing past out[k−1].
+//
+//go:noescape
+func dueAVX512(ne *Slot, n int, t Slot, out *int32) (k int)

@@ -134,3 +134,64 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// dueLanes holds the dword offsets 0 … 15, the offsets of one step's
+// sixteen entries.
+DATA dueLanes<>+0(SB)/8, $0x0000000100000000
+DATA dueLanes<>+8(SB)/8, $0x0000000300000002
+DATA dueLanes<>+16(SB)/8, $0x0000000500000004
+DATA dueLanes<>+24(SB)/8, $0x0000000700000006
+DATA dueLanes<>+32(SB)/8, $0x0000000900000008
+DATA dueLanes<>+40(SB)/8, $0x0000000b0000000a
+DATA dueLanes<>+48(SB)/8, $0x0000000d0000000c
+DATA dueLanes<>+56(SB)/8, $0x0000000f0000000e
+GLOBL dueLanes<>(SB), RODATA|NOPTR, $64
+
+// func dueAVX512(ne *Slot, n int, t Slot, out *int32) (k int)
+//
+// Each step compares sixteen entries against t, eight per signed compare
+// (t ≥ ne[c], predicate NLT), joins the two 8-bit masks into one 16-bit
+// mask, and compresses the offsets of the set lanes to out+k. The
+// compress writes only the popcount lanes, so no store passes the last
+// due offset. A last half step takes the remaining eight entries.
+TEXT ·dueAVX512(SB), NOSPLIT, $0-40
+	MOVQ         ne+0(FP), SI
+	MOVQ         n+8(FP), CX
+	MOVQ         t+16(FP), AX
+	MOVQ         out+24(FP), DI
+	VPBROADCASTQ AX, Z0
+	VMOVDQU32    dueLanes<>(SB), Z1 // Z1 = offsets of the step's entries
+	MOVL         $16, R8
+	VPBROADCASTD R8, Z2
+	XORQ         DX, DX             // due offsets written
+	XORQ         BX, BX             // entries compared
+	SUBQ         $16, CX            // last start of a whole step
+	JLT          half
+
+loop:
+	VPCMPQ      $5, (SI)(BX*8), Z0, K1
+	VPCMPQ      $5, 64(SI)(BX*8), Z0, K2
+	KUNPCKBW    K1, K2, K3
+	VPCOMPRESSD Z1, K3, (DI)(DX*4)
+	KMOVW       K3, R8
+	POPCNTL     R8, R8
+	ADDQ        R8, DX
+	VPADDD      Z2, Z1, Z1
+	ADDQ        $16, BX
+	CMPQ        BX, CX
+	JLE         loop
+
+half:
+	ADDQ        $16, CX
+	CMPQ        BX, CX
+	JGE         done
+	VPCMPQ      $5, (SI)(BX*8), Z0, K1
+	VPCOMPRESSD Z1, K1, (DI)(DX*4)
+	KMOVW       K1, R8
+	POPCNTL     R8, R8
+	ADDQ        R8, DX
+
+done:
+	VZEROUPPER
+	MOVQ DX, k+32(FP)
+	RET
