@@ -192,6 +192,67 @@ func TestEpochBatchEquivalence(t *testing.T) {
 	}
 }
 
+// TestEpochMixedPhaseMasks batches two epoch-safe components of one
+// priority band whose phase masks differ: A ticks in Issue and Transfer
+// with 8 shards, B in Transfer alone with 24. Cut per phase segment, A's
+// shards would fall to one worker in Issue and to another in Transfer,
+// and two workers would tick one shard concurrently inside an episode.
+// Every (component, shard) pair must have exactly one owner, and the
+// batched run must equal the serial one in digests and per-shard state.
+func TestEpochMixedPhaseMasks(t *testing.T) {
+	const slots = 61
+	build := func(eng Engine) []*epochComp {
+		a := newEpochComp(8, MaskOf(PhaseIssue, PhaseTransfer))
+		b := newEpochComp(24, MaskOf(PhaseTransfer))
+		eng.Register(a)
+		eng.Register(b)
+		return []*epochComp{a, b}
+	}
+	sc := NewClock()
+	oracle := build(sc)
+	sc.Run(slots)
+	for _, workers := range []int{2, 4} {
+		for rep := 0; rep < 5; rep++ {
+			pc := NewParallelClock(workers)
+			fleet := build(pc)
+			pc.Run(slots)
+			pc.Close()
+			for i, c := range fleet {
+				if got, want := c.snapshot(), oracle[i].snapshot(); got != want {
+					t.Fatalf("workers=%d rep %d: component %d diverged from serial:\n got %s\nwant %s",
+						workers, rep, i, got, want)
+				}
+				if c.epCalls == 0 {
+					t.Fatalf("workers=%d: component %d never folded an episode — plan did not batch", workers, i)
+				}
+			}
+			owners := map[[2]int]int{}
+			for w, list := range pc.workLists {
+				for _, wk := range list {
+					ci := 0
+					if wk.s == fleet[1] {
+						ci = 1
+					}
+					for s := wk.lo; s < wk.hi; s++ {
+						owners[[2]int{ci, s}]++
+					}
+				}
+				if len(list) == 0 {
+					t.Fatalf("workers=%d: worker %d owns no shard", workers, w)
+				}
+			}
+			if len(owners) != 8+24 {
+				t.Fatalf("workers=%d: %d (component, shard) pairs have an owner, want 32", workers, len(owners))
+			}
+			for pair, n := range owners {
+				if n != 1 {
+					t.Fatalf("workers=%d: pair %v has %d owners, want 1", workers, pair, n)
+				}
+			}
+		}
+	}
+}
+
 // TestEpochEpisodeTruncation pins the boundary policy: a Run budget
 // cuts the final episode, so engine state between runs always sits on
 // an episode boundary and chunked budgets land on the same digests.
@@ -563,6 +624,41 @@ func TestBarrierSpinsTunable(t *testing.T) {
 	}
 }
 
+// TestBarrierPureSpinPolicy pins when a pool's barrier waits spin
+// without yielding first: only when the pool has no more workers than
+// GOMAXPROCS or NumCPU, read on every run, so a pool built under another
+// GOMAXPROCS is rebuilt. An oversubscribed pool keeps the yielding path,
+// on which a waiter cannot hold the P or CPU of the worker it waits for.
+func TestBarrierPureSpinPolicy(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, workers := range []int{2, 3} {
+		oracle := newEpochComp(8, MaskAll)
+		sc := NewClock()
+		sc.Register(oracle)
+		sc.Run(15)
+
+		ec := newEpochComp(8, MaskAll)
+		pc := NewParallelClock(workers)
+		pc.Register(ec)
+		for _, procs := range []int{2, 1, 3} {
+			runtime.GOMAXPROCS(procs)
+			pc.Run(5)
+			want := 0
+			if workers <= min(procs, runtime.NumCPU()) {
+				want = barrierPureSpins
+			}
+			if got := pc.pool.bar.pure; got != want {
+				t.Fatalf("%d workers on GOMAXPROCS %d, NumCPU %d: pool spins %d pure loads, want %d",
+					workers, procs, runtime.NumCPU(), got, want)
+			}
+		}
+		pc.Close()
+		if ec.snapshot() != oracle.snapshot() {
+			t.Fatalf("%d workers diverged from serial:\n got %s\nwant %s", workers, ec.snapshot(), oracle.snapshot())
+		}
+	}
+}
+
 // TestBarrierArityShapesPool pins the tunable and the automatic pick.
 func TestBarrierArityShapesPool(t *testing.T) {
 	if pickArity(2) != 2 || pickArity(4) != 2 || pickArity(5) != 3 || pickArity(9) != 3 || pickArity(10) != 4 {
@@ -591,6 +687,32 @@ func TestTreeNodePadding(t *testing.T) {
 	if sz := unsafe.Sizeof(treeNode{}); sz%64 != 0 || sz == 0 {
 		t.Fatalf("treeNode is %d bytes; want a nonzero multiple of the 64-byte cache line", sz)
 	}
+}
+
+// BenchmarkTreeBarrierCrossing is the barrier's own number: one op is
+// one crossing of a two-worker tree, with the pure spin phase a pool
+// that fits the machine gets.
+func BenchmarkTreeBarrierCrossing(b *testing.B) {
+	if min(runtime.GOMAXPROCS(0), runtime.NumCPU()) < 2 {
+		b.Skip("fewer than 2 Ps or CPUs: a two-worker pool would not spin")
+	}
+	var bar treeBarrier
+	bar.init(2, pickArity(2), defaultBarrierSpins, barrierPureSpins)
+	done := make(chan struct{})
+	go func() {
+		var sense uint64
+		for i := 0; i < b.N; i++ {
+			bar.await(1, &sense)
+		}
+		close(done)
+	}()
+	var sense uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bar.await(0, &sense)
+	}
+	b.StopTimer()
+	<-done
 }
 
 // FuzzEpochSchedule drives arbitrary (component mix, workers, arity, K,

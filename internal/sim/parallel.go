@@ -51,9 +51,11 @@ import (
 // each worker spins on flags in its own cache-line-padded tree node,
 // arrivals combine up the tree, and release propagates down by one
 // remote write per edge, so a crossing costs O(1) remote references per
-// worker instead of fanning every worker into one shared counter.
-// Waiters spin briefly and then block on a condition variable, so an
-// idle engine consumes no CPU.
+// worker instead of fanning every worker into one shared counter. A
+// waiter in a pool that fits the machine first spins on its flag without
+// yielding, so it keeps its core; every waiter then spins yielding to
+// the scheduler, and finally blocks on a condition variable, so an idle
+// engine consumes no CPU.
 //
 // An episode is a stretch of slots between two settles. In a per-slot
 // run an episode is one slot, and the loop crosses the barriers the
@@ -64,10 +66,14 @@ import (
 // the compiled plan is exclusively shard work by components that
 // declare global shard closure (EpochSafe) and whose finalizers can
 // reconstruct the serial fold order over a slot range (EpochFinisher) —
-// an episode is up to K slots: each worker ticks its shard range
-// through every phase of every slot with no synchronization at all,
-// and FinishEpoch replaces the per-phase finalizers. Only a worker
-// pool batches.
+// an episode is up to K slots and runs shard-major: every (component,
+// shard) pair has one owning worker, fixed when the plan is compiled and
+// the same in every phase, and the owner ticks the pair through every
+// slot of the episode (within a slot, through the phases of the
+// component's mask in order) before it moves to its next pair. Nothing
+// synchronizes inside the episode, a shard's state stays in its owner's
+// cache, and FinishEpoch replaces the per-phase finalizers. Only a
+// worker pool batches.
 //
 // Every episode ends the same way: the settle crossing (all work of
 // the episode done), worker 0's bookkeeping and decision (decide: the
@@ -119,7 +125,10 @@ type ShardFinalizer interface {
 // Under that promise the engine may run shard s through ALL phases of
 // slots [from, from+k) before shard s' has started slot `from` at all:
 // no result of shard s' work in any phase of any episode slot is ever
-// visible to shard s before the episode settles. Parking state (Idler)
+// visible to shard s before the episode settles. The same holds across
+// components: no shard of another epoch-safe component reads or writes
+// shard s's state, since the engine may tick one component's shard
+// through a whole episode before or after another's. Parking state (Idler)
 // must only change at episode edges — in FinishEpoch or between runs —
 // never from inside TickShard. Components whose phases communicate
 // across shards (a network moving flits between columns, a directory
@@ -213,6 +222,16 @@ type parUnit struct {
 	offset int // first global shard index of this unit in the segment
 }
 
+// epochWork is one entry of a worker's compiled batched work list: the
+// shard range [lo, hi) of one component, which that worker alone ticks
+// in every phase of the component's mask.
+type epochWork struct {
+	s      Shardable
+	id     *Idler // nil when the component never parks
+	phases []Phase
+	lo, hi int
+}
+
 // epochFin is one component of the compiled episode-finalizer list.
 type epochFin struct {
 	f  EpochFinisher
@@ -226,8 +245,9 @@ type segment struct {
 	serial []planEntry // non-nil: worker 0 runs these in order
 	units  []parUnit   // non-nil: shards distributed across workers
 	total  int         // total shards across units
-	// cuts[w]:cuts[w+1] is worker w's shard range, cut once per compile
-	// for the resolved worker count.
+	// cuts[w]:cuts[w+1] is worker w's shard range in a per-slot episode,
+	// cut once per compile for the resolved worker count (a batched
+	// episode runs the work lists instead).
 	cuts   []int
 	anyFin bool
 	// barBefore makes every worker sync before this segment's work —
@@ -263,11 +283,13 @@ type ParallelClock struct {
 	planned bool
 	stopped atomic.Bool
 	// Epoch batching: epochK is the SetEpochBatch argument (EpochAuto =
-	// auto); batchable is the compiled predicate; epochFins the compiled
-	// finalizer list; slotCrossings the crossings one per-slot episode
-	// costs (for the crossings counter).
+	// auto); batchable is the compiled predicate; workLists[w] worker w's
+	// batched work list; epochFins the compiled finalizer list;
+	// slotCrossings the crossings one per-slot episode costs (for the
+	// crossings counter).
 	epochK        int
 	batchable     bool
+	workLists     [][]epochWork
 	epochFins     []epochFin
 	slotCrossings int
 	// Per-run state, written by worker 0 before the gate or in decide and
@@ -592,7 +614,52 @@ func (pc *ParallelClock) compile() {
 			}
 		}
 	}
+	pc.compileWorkLists()
 	pc.planned = true
+}
+
+// compileWorkLists fixes the owner of every (component, shard) pair of
+// a batchable plan and builds each worker's batched work list. The pairs
+// are laid end to end in plan order and cut into pc.workers contiguous
+// runs of equal length, so a component's shard has the same owner in
+// every phase of its mask — which EpochSafe's global shard closure needs,
+// since nothing orders two workers inside an episode.
+func (pc *ParallelClock) compileWorkLists() {
+	pc.workLists = nil
+	if !pc.batchable || pc.workers < 2 {
+		return
+	}
+	// all holds one entry per scheduled component, its shards numbered
+	// globally: [lo, hi) in the end-to-end order.
+	var all []epochWork
+	total := 0
+	for i := range pc.tickers {
+		e := &pc.tickers[i]
+		m := maskOf(e.t)
+		if m == 0 {
+			continue // never scheduled
+		}
+		sh := e.t.(Shardable)
+		wk := epochWork{s: sh, id: e.id, lo: total, hi: total + sh.Shards()}
+		for ph := Phase(0); ph < numPhases; ph++ {
+			if m.Has(ph) {
+				wk.phases = append(wk.phases, ph)
+			}
+		}
+		all = append(all, wk)
+		total = wk.hi
+	}
+	pc.workLists = make([][]epochWork, pc.workers)
+	for w := range pc.workLists {
+		wlo, whi := w*total/pc.workers, (w+1)*total/pc.workers
+		for _, c := range all {
+			if lo, hi := max(wlo, c.lo), min(whi, c.hi); lo < hi {
+				wk := c
+				wk.lo, wk.hi = lo-c.lo, hi-c.lo
+				pc.workLists[w] = append(pc.workLists[w], wk)
+			}
+		}
+	}
 }
 
 // compileEpochs derives the batchability predicate and the episode
@@ -788,9 +855,14 @@ func (pc *ParallelClock) Close() {
 	p.wg.Wait()
 }
 
-// barrierShape resolves the configured tree arity and spin bound for
-// the current worker count.
-func (pc *ParallelClock) barrierShape() (arity, spins int) {
+// barrierShape resolves the configured tree arity and spin bounds for
+// the current worker count. The pure spin phase is on only when every
+// worker can hold a P and a CPU of its own: in an oversubscribed pool a
+// pure spinner holds the P, or the CPU under a GOMAXPROCS above
+// NumCPU, that the worker it waits for needs. GOMAXPROCS is read here,
+// on every run of a pool, so a pool built under another value is
+// rebuilt; one worker never waits and does not read it.
+func (pc *ParallelClock) barrierShape() (arity, spins, pure int) {
 	arity = pc.cfgArity
 	if arity == 0 {
 		arity = pickArity(pc.workers)
@@ -799,20 +871,23 @@ func (pc *ParallelClock) barrierShape() (arity, spins int) {
 	if spins == 0 {
 		spins = defaultBarrierSpins
 	}
-	return arity, spins
+	if pc.workers > 1 && pc.workers <= min(runtime.GOMAXPROCS(0), runtime.NumCPU()) {
+		pure = barrierPureSpins
+	}
+	return arity, spins, pure
 }
 
 // ensurePool returns a worker pool sized and shaped for the current
 // plan, retiring a stale one first. At one worker the pool is one
 // barrier node and no goroutine.
 func (pc *ParallelClock) ensurePool() *workerPool {
-	arity, spins := pc.barrierShape()
-	if p := pc.pool; p != nil && p.n == pc.workers && p.arity == arity && p.spins == spins {
+	arity, spins, pure := pc.barrierShape()
+	if p := pc.pool; p != nil && p.n == pc.workers && p.arity == arity && p.spins == spins && p.bar.pure == pure {
 		return p
 	}
 	pc.Close()
 	p := &workerPool{n: pc.workers, arity: arity, spins: spins}
-	p.bar.init(pc.workers, arity, spins)
+	p.bar.init(pc.workers, arity, spins, pure)
 	pc.sense0 = 0
 	pc.pool = p
 	p.wg.Add(pc.workers - 1)
@@ -841,53 +916,27 @@ func (pc *ParallelClock) recordPanic(r any) {
 }
 
 // episodes is the SPMD episode loop every worker runs, at every worker
-// count. An episode covers epochLen slots from pc.now. In a per-slot run
-// (epochLen is 1) barriers follow the compiled placement, identically on
-// every worker, and worker 0 alone runs serial segments and finalizers.
-// In a batched run the plan is all EpochSafe shard work, so each worker
-// ticks its shard range through every phase of every slot with no
-// synchronization at all: nothing a worker computes is visible to
-// another worker's shards until the episode settles. Either way the
-// episode ends with the settle crossing (skipped by a per-slot episode
-// whose last work was serial), worker 0's bookkeeping and decision, and
-// the control-word crossing. A lone worker has nobody to wait for, so
-// on a one-node barrier the loop makes no barrier call at all.
+// count. An episode covers epochLen slots from pc.now. A batched run
+// (always a pool) ticks the worker's own work list shard-major with no
+// synchronization at all and then crosses the settle barrier (see
+// runEpoch). A per-slot run follows the compiled barrier placement
+// (see runSlot) and crosses the settle barrier only when the slot's
+// last work was parallel. Either way the episode ends with worker 0's
+// bookkeeping and decision and the control-word crossing. A lone worker
+// has nobody to wait for, so on a one-node barrier the loop makes no
+// barrier call at all.
 func (pc *ParallelClock) episodes(w int, bar *treeBarrier, sense *uint64) {
 	pool := len(bar.nodes) > 1
 	for {
 		from, to := pc.now, pc.now+Slot(pc.epochLen)
-		perSlot := !pc.batched
-		for t := from; t < to; t++ {
-			for ph := Phase(0); ph < numPhases; ph++ {
-				for i := range pc.plan[ph] {
-					seg := &pc.plan[ph][i]
-					if pool && perSlot && seg.barBefore {
-						bar.await(w, sense)
-					}
-					if seg.serial != nil {
-						if w == 0 {
-							for _, e := range seg.serial {
-								if !e.id.Parked() {
-									e.t.Tick(t, ph)
-								}
-							}
-						}
-						continue
-					}
-					seg.runShards(t, ph, seg.cuts[w], seg.cuts[w+1])
-					if perSlot && seg.anyFin {
-						if pool {
-							bar.await(w, sense)
-						}
-						if w == 0 {
-							seg.finish(t, ph)
-						}
-					}
-				}
-			}
-		}
-		if pool && (!perSlot || pc.ctrlBar) {
+		if pc.batched {
+			pc.runEpoch(w, from, to)
 			bar.await(w, sense) // settle: the episode's work is done everywhere
+		} else {
+			pc.runSlot(w, from, bar, sense, pool)
+			if pool && pc.ctrlBar {
+				bar.await(w, sense) // settle
+			}
 		}
 		if w == 0 {
 			pc.settle(from, to)
@@ -898,6 +947,61 @@ func (pc *ParallelClock) episodes(w int, bar *treeBarrier, sense *uint64) {
 		}
 		if !pc.cont {
 			return
+		}
+	}
+}
+
+// runEpoch is worker w's share of the batched episode [from, to): each
+// pair of its work list, shard by shard, through every slot, and within
+// a slot through the component's phases in order. Global shard closure
+// makes this shard-major order equivalent to the serial slot-major one;
+// parking only changes at episode edges, so it is read once per entry.
+func (pc *ParallelClock) runEpoch(w int, from, to Slot) {
+	for i := range pc.workLists[w] {
+		wk := &pc.workLists[w][i]
+		if wk.id.Parked() {
+			continue
+		}
+		for s := wk.lo; s < wk.hi; s++ {
+			for t := from; t < to; t++ {
+				for _, ph := range wk.phases {
+					wk.s.TickShard(t, ph, s)
+				}
+			}
+		}
+	}
+}
+
+// runSlot is worker w's share of the per-slot episode t: barriers follow
+// the compiled placement, identically on every worker, each worker ticks
+// its cut of every parallel segment, and worker 0 alone runs serial
+// segments and finalizers.
+func (pc *ParallelClock) runSlot(w int, t Slot, bar *treeBarrier, sense *uint64, pool bool) {
+	for ph := Phase(0); ph < numPhases; ph++ {
+		for i := range pc.plan[ph] {
+			seg := &pc.plan[ph][i]
+			if pool && seg.barBefore {
+				bar.await(w, sense)
+			}
+			if seg.serial != nil {
+				if w == 0 {
+					for _, e := range seg.serial {
+						if !e.id.Parked() {
+							e.t.Tick(t, ph)
+						}
+					}
+				}
+				continue
+			}
+			seg.runShards(t, ph, seg.cuts[w], seg.cuts[w+1])
+			if seg.anyFin {
+				if pool {
+					bar.await(w, sense)
+				}
+				if w == 0 {
+					seg.finish(t, ph)
+				}
+			}
 		}
 	}
 }

@@ -31,7 +31,14 @@ import (
 // resetting and a fast worker re-arriving for round g+1 cannot corrupt
 // round g (all waits are monotonic >= comparisons).
 //
-// The spin phase is bounded (defaultBarrierSpins); after it a waiter
+// A wait has up to three phases. In a pool that fits the machine (no
+// more workers than GOMAXPROCS or NumCPU) a waiter first loads its flag
+// in a short pure loop (barrierPureSpins): across a short wait it keeps
+// its core, and with it the cache lines of the shards it owns, where a
+// yield could let the workers trade cores. An oversubscribed pool skips
+// that phase, since a pure spinner there holds the P or CPU the worker
+// it waits for needs. Then comes a bounded phase of spins that yield to
+// the scheduler between loads (defaultBarrierSpins); after it a waiter
 // blocks on the barrier's condition variable, so an idle engine —
 // workers parked on the pool gate between runs — costs no CPU. Flag
 // writers broadcast only when the sleeper count says someone is
@@ -47,9 +54,13 @@ import (
 // narrower ones spread the combining across more nodes).
 const barrierMaxArity = 4
 
-// defaultBarrierSpins bounds the spin phase of a barrier wait before
-// the waiter blocks on the condition variable.
+// defaultBarrierSpins bounds the yielding spin phase of a barrier wait
+// before the waiter blocks on the condition variable.
 const defaultBarrierSpins = 2048
+
+// barrierPureSpins bounds the pure spin phase that precedes the yielding
+// one in a pool that fits the machine (see ParallelClock.barrierShape).
+const barrierPureSpins = 1000
 
 // pickArity selects the tree fan-in for n workers: flat-ish trees for
 // the small pools this simulator typically runs (one round of remote
@@ -85,7 +96,8 @@ type treeNode struct {
 type treeBarrier struct {
 	nodes []treeNode
 	arity int
-	spins int
+	spins int // yielding spins before a waiter blocks
+	pure  int // pure spins before the yielding ones; 0 when oversubscribed
 
 	poison   atomic.Bool
 	sleepers atomic.Int32 // waiters blocked on cond (not spinning)
@@ -93,7 +105,7 @@ type treeBarrier struct {
 	cond     sync.Cond
 }
 
-func (b *treeBarrier) init(n, arity, spins int) {
+func (b *treeBarrier) init(n, arity, spins, pure int) {
 	if arity < 2 {
 		arity = 2
 	}
@@ -106,6 +118,7 @@ func (b *treeBarrier) init(n, arity, spins int) {
 	b.nodes = make([]treeNode, n)
 	b.arity = arity
 	b.spins = spins
+	b.pure = pure
 	b.cond.L = &b.mu
 }
 
@@ -142,9 +155,16 @@ func (b *treeBarrier) post(f *atomic.Uint64, g uint64) {
 	}
 }
 
-// spinWait waits for *f >= g: a bounded local spin, then a block on the
-// condition variable. Poison converts the wait into the sentinel panic.
+// spinWait waits for *f >= g: a bounded pure spin (in a pool that fits
+// the machine), a bounded spin that yields between loads, then a block
+// on the condition variable. Poison converts the wait into the sentinel
+// panic; the pure phase leaves the poison check to the phases after it.
 func (b *treeBarrier) spinWait(f *atomic.Uint64, g uint64) {
+	for i := 0; i < b.pure; i++ {
+		if f.Load() >= g {
+			return
+		}
+	}
 	for i := 0; i < b.spins; i++ {
 		if f.Load() >= g {
 			return
