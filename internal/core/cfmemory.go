@@ -456,9 +456,7 @@ func (m *CFMemory) FinishShards(t sim.Slot, ph sim.Phase) {
 				m.replay(&st.visits[i])
 			}
 			st.visits = st.visits[:0]
-			for _, ev := range st.tFlights {
-				m.flt.Append(ev) //cfm:flight-ok fold drain; st.tFlights stays empty while recording is off
-			}
+			m.flt.AppendAll(st.tFlights) //cfm:flight-ok fold drain; st.tFlights stays empty while recording is off
 			st.tFlights = st.tFlights[:0]
 		}
 	case sim.PhaseUpdate:
@@ -472,9 +470,7 @@ func (m *CFMemory) FinishShards(t sim.Slot, ph sim.Phase) {
 				m.trace.AddEvent(e)
 			}
 			st.events = st.events[:0]
-			for _, ev := range st.uFlights {
-				m.flt.Append(ev) //cfm:flight-ok fold drain; st.uFlights stays empty while recording is off
-			}
+			m.flt.AppendAll(st.uFlights) //cfm:flight-ok fold drain; st.uFlights stays empty while recording is off
 			st.uFlights = st.uFlights[:0]
 			m.Completed += st.completed
 			completed += st.completed
@@ -532,10 +528,11 @@ func (m *CFMemory) FinishEpoch(from, to sim.Slot) {
 				m.replay(&st.visits[st.cVisit])
 				st.cVisit++
 			}
+			c := st.cTF
 			for st.cTF < len(st.tFlights) && st.tFlights[st.cTF].Slot <= t {
-				m.flt.Append(st.tFlights[st.cTF]) //cfm:flight-ok fold drain; st.tFlights stays empty while recording is off
 				st.cTF++
 			}
+			m.flt.AppendAll(st.tFlights[c:st.cTF]) //cfm:flight-ok fold drain; st.tFlights stays empty while recording is off
 		}
 		for p := range m.stage {
 			st := &m.stage[p]
@@ -543,10 +540,11 @@ func (m *CFMemory) FinishEpoch(from, to sim.Slot) {
 				m.trace.AddEvent(st.events[st.cEv])
 				st.cEv++
 			}
+			c := st.cUF
 			for st.cUF < len(st.uFlights) && st.uFlights[st.cUF].Slot <= t {
-				m.flt.Append(st.uFlights[st.cUF]) //cfm:flight-ok fold drain; st.uFlights stays empty while recording is off
 				st.cUF++
 			}
+			m.flt.AppendAll(st.uFlights[c:st.cUF]) //cfm:flight-ok fold drain; st.uFlights stays empty while recording is off
 			for st.cDone < len(st.done) && st.done[st.cDone].at <= t {
 				d := st.done[st.cDone]
 				d.a.done(d.a.buf)

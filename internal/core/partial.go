@@ -564,9 +564,7 @@ func (p *Partial) FinishShards(t sim.Slot, ph sim.Phase) {
 			continue
 		}
 		st := &p.stage[s]
-		for _, ev := range st.flights {
-			p.flt.Append(ev) //cfm:flight-ok fold drain; st.flights stays empty while recording is off
-		}
+		p.flt.AppendAll(st.flights) //cfm:flight-ok fold drain; st.flights stays empty while recording is off
 		st.flights = st.flights[:0]
 	}
 }
@@ -587,9 +585,7 @@ func (p *Partial) foldCounters() {
 		latency += st.totalLatency
 		local += st.localAcc
 		remote += st.remoteAcc
-		for _, l := range st.lats {
-			p.mLatHist.Observe(l)
-		}
+		p.mLatHist.ObserveAll(st.lats)
 		// Field-wise reset keeps the lats capacity for the next fold.
 		st.completed, st.retries, st.totalLatency = 0, 0, 0
 		st.localAcc, st.remoteAcc = 0, 0
@@ -634,12 +630,12 @@ func (p *Partial) FinishEpoch(from, to sim.Slot) {
 		for t := from; t < to; t++ {
 			for s := range p.stage {
 				evs := p.stage[s].flights
-				c := p.epochCursors[s]
-				for c < len(evs) && evs[c].Slot <= t {
-					p.flt.Append(evs[c])
-					c++
+				c, e := p.epochCursors[s], p.epochCursors[s]
+				for e < len(evs) && evs[e].Slot <= t {
+					e++
 				}
-				p.epochCursors[s] = c
+				p.flt.AppendAll(evs[c:e])
+				p.epochCursors[s] = e
 			}
 		}
 	}

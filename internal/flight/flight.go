@@ -184,6 +184,43 @@ func (r *Recorder) Append(ev Event) {
 	r.Emit(ev.ID, ev.Slot, ev.Stage, ev.Actor, ev.Arg)
 }
 
+// AppendAll records evs in order, leaving the ring exactly as one Append
+// per event would, with at most one copy per ring segment: the staged-
+// fold entry point for a whole run of events. A nil recorder or an empty
+// run returns inline, so a fold that drains many empty runs pays no call.
+func (r *Recorder) AppendAll(evs []Event) {
+	if r != nil && len(evs) > 0 {
+		r.appendAll(evs)
+	}
+}
+
+// appendAll is AppendAll on a recorder and a non-empty run.
+func (r *Recorder) appendAll(evs []Event) {
+	if r.n < len(r.events) { // filling: head stays 0 until the ring is full
+		k := copy(r.events[r.n:], evs)
+		r.n += k
+		evs = evs[k:]
+	}
+	if len(evs) == 0 {
+		return
+	}
+	// Full: each event overwrites the oldest, at head. Of a batch longer
+	// than the ring only the last Cap() events survive; the ones before
+	// them would each have advanced head and been overwritten in turn.
+	c := len(r.events)
+	r.dropped += uint64(len(evs))
+	if skip := len(evs) - c; skip > 0 {
+		r.head = (r.head + skip) % c
+		evs = evs[skip:]
+	}
+	k := copy(r.events[r.head:], evs)
+	copy(r.events, evs[k:])
+	r.head += len(evs)
+	if r.head >= c {
+		r.head -= c
+	}
+}
+
 // Len returns the number of live events (≤ Cap).
 func (r *Recorder) Len() int {
 	if r == nil {
@@ -297,9 +334,14 @@ func (r *Recorder) SaveState(enc *sim.StateEncoder) {
 	}
 }
 
+// loadChunk is how many events LoadState decodes per Words call.
+const loadChunk = 128
+
 // LoadState implements sim.Stater. The restoring recorder must be
 // configured with the checkpointed capacity (the -spans-limit flag is
-// configuration, which snapshots never carry).
+// configuration, which snapshots never carry). The events decode in
+// chunks of five-word records straight into the ring, oldest first at
+// index 0 — where Reset and one Emit per event would put them.
 func (r *Recorder) LoadState(dec *sim.StateDecoder) {
 	capacity := dec.Int()
 	if dec.Err() != nil {
@@ -316,17 +358,23 @@ func (r *Recorder) LoadState(dec *sim.StateDecoder) {
 		dec.Failf("flight: %d events in checkpoint exceed capacity %d", count, capacity)
 		return
 	}
-	for i := 0; i < count && dec.Err() == nil; i++ {
-		id := dec.U64()
-		slot := dec.Slot()
-		st := dec.U64()
-		actor := dec.I64()
-		arg := dec.I64()
-		if st >= uint64(numStages) {
-			dec.Failf("flight: stage %d out of range", st)
-			return
+	var words [5 * loadChunk]uint64
+	for done := 0; done < count && dec.Err() == nil; {
+		k := min(count-done, loadChunk)
+		w := words[:5*k]
+		dec.Words(w)
+		evs := r.events[done : done+k]
+		for i := range evs {
+			rec := w[5*i : 5*i+5 : 5*i+5]
+			if rec[2] >= uint64(numStages) {
+				dec.Failf("flight: stage %d out of range", rec[2])
+				return
+			}
+			evs[i] = Event{ID: rec[0], Slot: sim.Slot(rec[1]), Stage: Stage(rec[2]),
+				Actor: int32(rec[3]), Arg: int64(rec[4])}
 		}
-		r.Emit(id, slot, Stage(st), int32(actor), arg)
+		done += k
+		r.n = done
 	}
 	r.dropped = dropped
 }

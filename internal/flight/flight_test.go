@@ -1,6 +1,8 @@
 package flight
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -241,5 +243,124 @@ func TestRecorderStateRejectsBadStage(t *testing.T) {
 	r.LoadState(dec)
 	if dec.Err() == nil {
 		t.Error("out-of-range stage accepted")
+	}
+}
+
+// appendTwins feeds evs to got in one AppendAll and to want one Append
+// at a time.
+func appendTwins(got, want *Recorder, evs []Event) {
+	got.AppendAll(evs)
+	for _, ev := range evs {
+		want.Append(ev)
+	}
+}
+
+// recorderState returns the SaveState bytes of r.
+func recorderState(t *testing.T, r *Recorder) []byte {
+	t.Helper()
+	enc := sim.NewStateEncoder()
+	r.SaveState(enc)
+	if err := enc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return enc.Bytes()
+}
+
+// TestRecorderAppendAllMatchesAppend binds AppendAll to its definition:
+// after every batch — empty, ending exactly at the wrap, longer than the
+// ring, starting at any head — the ring reads as after one Append per
+// event.
+func TestRecorderAppendAllMatchesAppend(t *testing.T) {
+	var nilRec *Recorder
+	nilRec.AppendAll([]Event{{ID: 1}}) // must not panic
+	for _, capacity := range []int{1, 2, 7, 64} {
+		got, want := NewRecorder(capacity), NewRecorder(capacity)
+		next := uint64(0)
+		batch := func(n int) []Event {
+			evs := make([]Event, n)
+			for i := range evs {
+				next++
+				evs[i] = Event{ID: next, Slot: sim.Slot(next), Stage: Stage(next % uint64(numStages)),
+					Actor: int32(next * 3), Arg: -int64(next)}
+			}
+			return evs
+		}
+		sizes := []int{0, capacity, 0, 1, capacity - 1, 2*capacity + 3, 0, 3, capacity, 5*capacity + 1, 1}
+		for i := 0; i < 3*capacity; i++ { // batches starting at every head
+			sizes = append(sizes, 1+i%3, capacity-i%capacity)
+		}
+		for step, n := range sizes {
+			appendTwins(got, want, batch(n))
+			if got.head != want.head || !slices.Equal(got.events, want.events) {
+				t.Fatalf("cap %d, batch %d of %d: ring storage or head %d differs from the per-event twin's (head %d)",
+					capacity, step, n, got.head, want.head)
+			}
+			if got.Len() != want.Len() || got.Dropped() != want.Dropped() || got.Digest() != want.Digest() {
+				t.Fatalf("cap %d, batch %d of %d: Len/Dropped/Digest %d/%d/%x, per-event twin %d/%d/%x",
+					capacity, step, n, got.Len(), got.Dropped(), got.Digest(), want.Len(), want.Dropped(), want.Digest())
+			}
+			if g, w := got.Events(), want.Events(); !slices.Equal(g, w) {
+				t.Fatalf("cap %d, batch %d of %d: Events %v, per-event twin %v", capacity, step, n, g, w)
+			}
+			if g, w := recorderState(t, got), recorderState(t, want); !bytes.Equal(g, w) {
+				t.Fatalf("cap %d, batch %d of %d: SaveState bytes differ from the per-event twin's", capacity, step, n)
+			}
+		}
+	}
+}
+
+// TestRecorderAppendAllAllocFree guards the bulk drain: a batch that
+// fills, wraps or overruns the preallocated ring allocates nothing.
+func TestRecorderAppendAllAllocFree(t *testing.T) {
+	r := NewRecorder(16)
+	evs := make([]Event, 11)
+	var nilRec *Recorder
+	if n := testing.AllocsPerRun(100, func() { nilRec.AppendAll(evs) }); n != 0 {
+		t.Errorf("disabled AppendAll allocates %v/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.AppendAll(evs) }); n != 0 {
+		t.Errorf("AppendAll allocates %v/op, want 0 (ring is preallocated)", n)
+	}
+	long := make([]Event, 40)
+	if n := testing.AllocsPerRun(100, func() { r.AppendAll(long) }); n != 0 {
+		t.Errorf("AppendAll of a batch longer than the ring allocates %v/op, want 0", n)
+	}
+}
+
+// TestRecorderLoadStateMatchesEmits checks the one-pass ring decode
+// against the ring Reset and one Emit per saved event build, across the
+// decoder's chunk boundary, and that a truncated section still fails.
+func TestRecorderLoadStateMatchesEmits(t *testing.T) {
+	for _, capacity := range []int{1, 5, loadChunk, loadChunk + 1, 3*loadChunk + 7} {
+		for _, emits := range []int{0, 1, capacity - 1, capacity, 2*capacity + 1} {
+			src := NewRecorder(capacity)
+			for i := 0; i < emits; i++ {
+				src.Emit(ComposeID(i, sim.Slot(i)), sim.Slot(i), Stage(i%int(numStages)), int32(-i), int64(i)<<40)
+			}
+			saved := recorderState(t, src)
+			got := NewRecorder(capacity)
+			got.Emit(99, 99, StageHop, 99, 99) // stale contents the load must replace
+			dec := sim.NewStateDecoder(saved)
+			got.LoadState(dec)
+			if err := dec.Err(); err != nil || dec.Remaining() != 0 {
+				t.Fatalf("cap %d emits %d: load err %v, %d bytes unread", capacity, emits, err, dec.Remaining())
+			}
+			want := NewRecorder(capacity)
+			for _, ev := range src.Events() {
+				want.Emit(ev.ID, ev.Slot, ev.Stage, ev.Actor, ev.Arg)
+			}
+			want.dropped = src.dropped
+			if got.Digest() != want.Digest() || !slices.Equal(got.Events(), want.Events()) {
+				t.Fatalf("cap %d emits %d: loaded ring differs from the emitted one", capacity, emits)
+			}
+			if !bytes.Equal(recorderState(t, got), saved) {
+				t.Fatalf("cap %d emits %d: loaded ring does not save the bytes it loaded", capacity, emits)
+			}
+			dec = sim.NewStateDecoder(saved[:len(saved)-1])
+			NewRecorder(capacity).LoadState(dec)
+			if dec.Err() == nil {
+				t.Fatalf("cap %d emits %d: truncated section accepted", capacity, emits)
+			}
+		}
 	}
 }

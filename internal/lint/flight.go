@@ -15,13 +15,14 @@ const flightPkgPath = "cfm/internal/flight"
 // instrumented packages (everything importing cfm/internal/flight except
 // the flight package itself and the cmd/ harnesses):
 //
-//   - every (*flight.Recorder).Emit / Append call and every flight.Event
-//     composite literal must sit inside an if whose condition mentions
-//     .Enabled() — the disabled path carries a zero-alloc, <2%-overhead
-//     budget, and an unguarded call evaluates its arguments (ComposeID,
-//     conversions) even when recording is off. Annotate an intentionally
-//     unguarded site with //cfm:flight-ok <why> (e.g. a cold path that
-//     re-checks inside a helper).
+//   - every (*flight.Recorder).Emit / Append / AppendAll call and every
+//     flight.Event composite literal must sit inside an if whose
+//     condition mentions .Enabled() — the disabled path carries a
+//     zero-alloc, <2%-overhead budget, and an unguarded call evaluates
+//     its arguments (ComposeID, conversions, a staged batch) even when
+//     recording is off. Annotate an intentionally unguarded site with
+//     //cfm:flight-ok <why> (e.g. a cold path that re-checks inside a
+//     helper, or a fold drain whose staged batch is empty when off).
 //   - a package referencing an opening stage (StageIssue or
 //     StageNetInject) must also reference StageRetire: spans that open
 //     but never retire report Complete=false forever, silently vanishing
@@ -159,11 +160,11 @@ func mentionsEnabled(e ast.Expr) bool {
 	return found
 }
 
-// flightEmitCall reports whether call is (*flight.Recorder).Emit or
-// Append.
+// flightEmitCall reports whether call is (*flight.Recorder).Emit,
+// Append or AppendAll.
 func (t *Target) flightEmitCall(call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || (sel.Sel.Name != "Emit" && sel.Sel.Name != "Append") {
+	if !ok || (sel.Sel.Name != "Emit" && sel.Sel.Name != "Append" && sel.Sel.Name != "AppendAll") {
 		return false
 	}
 	fn, ok := t.Info.Uses[sel.Sel].(*types.Func)

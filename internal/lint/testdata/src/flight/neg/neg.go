@@ -10,7 +10,8 @@ import (
 // Guarded wraps every emission in an Enabled() guard and closes the
 // spans it opens.
 type Guarded struct {
-	flt *flight.Recorder
+	flt    *flight.Recorder
+	staged []flight.Event
 }
 
 func (g *Guarded) Tick(t sim.Slot, ph sim.Phase) {
@@ -21,6 +22,14 @@ func (g *Guarded) Tick(t sim.Slot, ph sim.Phase) {
 	if g.flt.Enabled() && t > 3 {
 		g.flt.Emit(flight.ComposeID(0, t-3), t, flight.StageRetire, 0, 3)
 	}
+}
+
+// drain folds a staged batch inside the guard.
+func (g *Guarded) drain() {
+	if g.flt.Enabled() {
+		g.flt.AppendAll(g.staged)
+	}
+	g.staged = g.staged[:0]
 }
 
 // exempt is a deliberately unguarded cold path, annotated.

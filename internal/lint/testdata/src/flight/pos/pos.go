@@ -10,7 +10,8 @@ import (
 // Unguarded is an instrumented ticker whose emissions skip the
 // Enabled() guard, and which opens spans without ever retiring them.
 type Unguarded struct {
-	flt *flight.Recorder
+	flt    *flight.Recorder
+	staged []flight.Event
 }
 
 func (u *Unguarded) Tick(t sim.Slot, ph sim.Phase) {
@@ -38,4 +39,10 @@ func (u *Unguarded) elseBranch(t sim.Slot) {
 	} else {
 		u.flt.Emit(2, t, flight.StageHop, 0, 0) // want "flight.Recorder emission outside an Enabled"
 	}
+}
+
+// drain folds a staged batch without the guard or an annotation.
+func (u *Unguarded) drain() {
+	u.flt.AppendAll(u.staged) // want "flight.Recorder emission outside an Enabled"
+	u.staged = u.staged[:0]
 }

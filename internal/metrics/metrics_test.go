@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"bytes"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -278,5 +280,68 @@ func TestFloorDiv(t *testing.T) {
 		if got := floorDiv(c.v, c.w); got != c.want {
 			t.Errorf("floorDiv(%d,%d) = %d, want %d", c.v, c.w, got, c.want)
 		}
+	}
+}
+
+// histState returns the registry's snapshot digest and SaveState bytes.
+func histState(t *testing.T, r *Registry) (uint64, []byte) {
+	t.Helper()
+	enc := sim.NewStateEncoder()
+	r.SaveState(enc)
+	if err := enc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return r.Snapshot().Digest(), enc.Bytes()
+}
+
+// TestHistogramObserveAllMatchesObserve binds ObserveAll to one Observe
+// per value: runs of one bin, alternating bins, negative and zero
+// values, and values at the int64 extremes, at several bin widths.
+func TestHistogramObserveAllMatchesObserve(t *testing.T) {
+	var nilHist *Histogram
+	nilHist.ObserveAll([]int64{1, 2}) // must not panic
+	batches := [][]int64{
+		nil,
+		{0},
+		{17, 17, 17, 18, 33, 34, 34, 0, 0, -1, -1, -17, -18, 16},
+		{-1000, -999, -1, 0, 999, 1000, 1001, 1999, 2000, -2001},
+		{math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1, 0, math.MinInt64},
+		{5, 5, 5, 5, 5, 5, 5, 5},
+	}
+	long := make([]int64, 500)
+	for i := range long {
+		long[i] = int64(i*i%97) - 40 + int64(i/50)*17
+	}
+	batches = append(batches, long)
+	for _, width := range []int64{1, 17, 1000} {
+		bulk, single := New(), New()
+		hb, hs := bulk.Histogram("h", width), single.Histogram("h", width)
+		for i, vs := range batches {
+			hb.ObserveAll(vs)
+			for _, v := range vs {
+				hs.Observe(v)
+			}
+			db, bb := histState(t, bulk)
+			ds, bs := histState(t, single)
+			if db != ds || !bytes.Equal(bb, bs) {
+				t.Fatalf("width %d, batch %d: ObserveAll snapshot %+v, per-value Observe %+v",
+					width, i, bulk.Snapshot().Histograms, single.Snapshot().Histograms)
+			}
+		}
+	}
+}
+
+// TestHistogramObserveAllAllocFree guards the latency fold: observing a
+// batch whose bins already exist allocates nothing.
+func TestHistogramObserveAllAllocFree(t *testing.T) {
+	h := New().Histogram("h", 17)
+	vs := []int64{17, 17, 18, 34, 51, 17, 0, -3}
+	h.ObserveAll(vs) // creates the bins
+	if n := testing.AllocsPerRun(100, func() { h.ObserveAll(vs) }); n != 0 {
+		t.Errorf("ObserveAll allocates %v/op, want 0", n)
+	}
+	var nilHist *Histogram
+	if n := testing.AllocsPerRun(100, func() { nilHist.ObserveAll(vs) }); n != 0 {
+		t.Errorf("disabled ObserveAll allocates %v/op, want 0", n)
 	}
 }

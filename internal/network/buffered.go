@@ -320,9 +320,7 @@ func (b *BufferedOmega) FinishShards(t sim.Slot, ph sim.Phase) {
 		delivHot += st.deliveredHot
 		latBg += st.latencyBgTotal
 		latHot += st.latencyHotTotal
-		for _, ev := range st.flights {
-			b.flt.Append(ev) //cfm:flight-ok fold drain; st.flights stays empty while recording is off
-		}
+		b.flt.AppendAll(st.flights) //cfm:flight-ok fold drain; st.flights stays empty while recording is off
 		// Field-wise reset keeps the flights capacity for the next slot.
 		st.injected, st.deliveredBg, st.deliveredHot = 0, 0, 0
 		st.latencyBgTotal, st.latencyHotTotal, st.unfull = 0, 0, 0

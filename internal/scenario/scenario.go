@@ -337,9 +337,7 @@ func Efficiency(obs *obsflags.Observatory, p EfficiencyParams) ([]EfficiencyRun,
 			if p.Spans {
 				events := rec.Events()
 				if obs.Flight.Enabled() { // forward the spans to the -spans-out export
-					for _, ev := range events {
-						obs.Flight.Append(ev)
-					}
+					obs.Flight.AppendAll(events)
 				}
 				run.Spans = flight.Attribute(events)
 			}

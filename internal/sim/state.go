@@ -283,6 +283,37 @@ func (d *StateDecoder) Int() int { return int(int64(d.word("int"))) }
 // Slot reads a simulation slot.
 func (d *StateDecoder) Slot() Slot { return Slot(int64(d.word("slot"))) }
 
+// Words reads len(dst) scalars of any word kind (U64, I64, Int, Slot)
+// into dst as raw words. When the input holds the whole run, its length
+// is checked once for the run rather than once per word. It fails on
+// exactly the inputs on which len(dst) scalar U64 reads fail, and leaves
+// dst and Remaining() as they would: the words before a fault decoded,
+// the rest zero. Its error names the failing word's place in the run.
+func (d *StateDecoder) Words(dst []uint64) {
+	i := 0
+	if d.err == nil && 9*len(dst) <= d.Remaining() {
+		b := d.buf[d.off : d.off+9*len(dst)]
+		for ; i < len(dst); i++ {
+			w := b[9*i : 9*i+9 : 9*i+9]
+			if w[0] != tagWord {
+				break
+			}
+			dst[i] = uint64(w[1]) | uint64(w[2])<<8 | uint64(w[3])<<16 | uint64(w[4])<<24 |
+				uint64(w[5])<<32 | uint64(w[6])<<40 | uint64(w[7])<<48 | uint64(w[8])<<56
+		}
+		d.off += 9 * i
+	}
+	// A short input or a foreign tag: the scalar reads take the rest and
+	// report the fault.
+	for ; i < len(dst) && d.err == nil; i++ {
+		dst[i] = d.word("word")
+		if d.err != nil {
+			d.err = fmt.Errorf("%w (word %d of a run of %d)", d.err, i, len(dst))
+		}
+	}
+	clear(dst[i:])
+}
+
 // Count reads a non-negative element count intended to size an
 // allocation or bound a decode loop. Counts larger than the remaining
 // input are rejected (every encoded element occupies at least one byte),

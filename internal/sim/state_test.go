@@ -637,3 +637,105 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// checkWords reads n words from data with Words on one decoder and with
+// n scalar U64 reads on another, after the same pre Bool reads, and
+// fails unless both leave equal values, Remaining() and error-or-not,
+// and a fault inside the run names the failing word's place in it.
+func checkWords(t *testing.T, data []byte, pre, n int) {
+	t.Helper()
+	bulk, scalar := NewStateDecoder(data), NewStateDecoder(data)
+	for i := 0; i < pre; i++ {
+		bulk.Bool()
+		scalar.Bool()
+	}
+	got := make([]uint64, n)
+	for i := range got {
+		got[i] = 0xdead // Words must overwrite every entry, as the reads do
+	}
+	bulk.Words(got)
+	want := make([]uint64, n)
+	failed := -1 // the word whose scalar read failed first
+	for i := range want {
+		ok := scalar.Err() == nil
+		want[i] = scalar.U64()
+		if ok && scalar.Err() != nil {
+			failed = i
+		}
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pre %d, %d words of % x: word %d = %#x, scalar reads give %#x", pre, n, data, i, got[i], want[i])
+		}
+	}
+	if bulk.Remaining() != scalar.Remaining() || (bulk.Err() == nil) != (scalar.Err() == nil) {
+		t.Fatalf("pre %d, %d words of % x: Remaining %d err %v, scalar reads leave %d err %v",
+			pre, n, data, bulk.Remaining(), bulk.Err(), scalar.Remaining(), scalar.Err())
+	}
+	if place := fmt.Sprintf("(word %d of a run of %d)", failed, n); failed >= 0 && !strings.HasSuffix(bulk.Err().Error(), place) {
+		t.Fatalf("pre %d, %d words of % x: error %q does not end in %q", pre, n, data, bulk.Err(), place)
+	}
+}
+
+// wordStream encodes the words 1..n, each of a different kind.
+func wordStream(n int) []byte {
+	enc := NewStateEncoder()
+	for i := 1; i <= n; i++ {
+		switch i % 4 {
+		case 0:
+			enc.U64(uint64(i) << 56)
+		case 1:
+			enc.I64(-int64(i))
+		case 2:
+			enc.Int(i)
+		default:
+			enc.Slot(Slot(i) << 20)
+		}
+	}
+	return enc.Bytes()
+}
+
+// TestStateWordsMatchScalar binds Words to len(dst) scalar reads: whole
+// runs, runs cut at every byte, a foreign tag at every word, a failed
+// decoder, and a run followed by other values.
+func TestStateWordsMatchScalar(t *testing.T) {
+	const words = 6
+	full := wordStream(words)
+	for n := 0; n <= words+1; n++ {
+		checkWords(t, full, 0, n)
+		for cut := 0; cut < len(full); cut++ {
+			checkWords(t, full[:cut], 0, n)
+		}
+		for w := 0; w < words; w++ {
+			for _, tag := range []byte{tagBool, tagBytes, tagString, 0} {
+				bad := bytes.Clone(full)
+				bad[9*w] = tag
+				checkWords(t, bad, 0, n)
+			}
+		}
+		checkWords(t, full, 1, n) // the first read fails: every word reads 0
+	}
+	enc := NewStateEncoder()
+	enc.Bool(true)
+	enc.U64(7)
+	enc.I64(-7)
+	enc.String("tail")
+	for n := 0; n <= 3; n++ {
+		checkWords(t, enc.Bytes(), 1, n)
+	}
+}
+
+// FuzzStateWords checks Words against scalar reads on arbitrary input.
+func FuzzStateWords(f *testing.F) {
+	f.Add(wordStream(5), uint8(0), uint8(5))
+	f.Add(wordStream(5)[:30], uint8(0), uint8(5))
+	f.Add([]byte{tagBool, 1, tagWord, 1, 2, 3, 4, 5, 6, 7, 8, tagWord}, uint8(1), uint8(2))
+	for _, w := range []int{0, 2} { // a whole run in range with one wrong tag
+		foreign := wordStream(5)
+		foreign[9*w] = tagBool
+		f.Add(foreign, uint8(0), uint8(5))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, pre, n uint8) {
+		checkWords(t, data, int(pre%4), int(n))
+	})
+}
