@@ -5,13 +5,14 @@
 // EXPERIMENTS.md.
 //
 // The entries are independent simulations, so the report runs up to
-// GOMAXPROCS of them at once (pool.go) and prints each section in
-// catalog order once its entry has run: the output does not depend on
-// the pool size, and GOMAXPROCS=1 runs the entries one at a time. The
-// report takes one entry at a time whenever an observability flag,
-// -resume or -checkpoint-out is set (they would share one registry,
-// sampler, flight ring or checkpoint), and whenever -workers is other
-// than 1 (the engines then use the cores themselves).
+// GOMAXPROCS of them at once (pool.go), starting the heaviest first by
+// each entry's Cost hint, and prints each section in catalog order once
+// its entry has run: the output does not depend on the pool size or the
+// claim order, and GOMAXPROCS=1 runs the entries one at a time in
+// catalog order. The report takes one entry at a time whenever an
+// observability flag, -resume or -checkpoint-out is set (they would
+// share one registry, sampler, flight ring or checkpoint), and whenever
+// -workers is other than 1 (the engines then use the cores themselves).
 //
 // The engine flags (-workers, -skip-ahead, -epoch-batch) and the
 // observability flags are the shared ones of internal/obsflags. Results

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -18,8 +19,9 @@ import (
 // An observed run (-metrics-out, -trace-out, -http, -spans-out) keeps one
 // registry, sampler and flight ring for the whole report, and -resume
 // and -checkpoint-out name one Fig 3.13 checkpoint, so those runs take
-// their entries one at a time. So does a run whose engines have several
-// workers (-workers other than 1): the engines already use the cores.
+// their entries one at a time, in catalog order. So does a run whose
+// engines have several workers (-workers other than 1): the engines
+// already use the cores.
 func poolSize(obs *obsflags.Observatory) int {
 	if obs.Wanted() || obs.Resume != "" || obs.CheckpointOut != "" || obs.Workers != 1 {
 		return 1
@@ -47,30 +49,48 @@ type outcome struct {
 }
 
 // pool runs catalog entries on worker goroutines. Workers claim entries
-// in catalog order from one counter and stop claiming once an entry
-// fails, so every entry before the first failure in catalog order has
-// been claimed and runs to the end. One worker is the serial run.
+// from one counter in claim order (claimOrder): the heaviest first when
+// there are several workers, so the longest entry does not start last
+// and run alone. A worker skips an entry after the lowest failed catalog
+// index, so every entry before the first failure in catalog order runs
+// to the end. One worker is the serial run, in catalog order.
 type pool struct {
 	obs     *obsflags.Observatory
 	entries []scenario.Entry
+	order   []int // catalog indices in claim order
 	workers int
 	started bool
 
-	next atomic.Int64 // index of the next entry to claim
-	stop atomic.Bool  // set when an entry fails or the caller closes the pool
-	wg   sync.WaitGroup
+	next   atomic.Int64 // position in order of the next claim
+	failed atomic.Int64 // lowest failed catalog index; len(entries) while none has, -1 once closed
+	wg     sync.WaitGroup
 
 	out  []outcome
 	done []chan struct{} // done[i] is closed once out[i] is written
 }
 
 func newPool(obs *obsflags.Observatory, entries []scenario.Entry, workers int) *pool {
-	p := &pool{obs: obs, entries: entries, workers: max(1, min(workers, len(entries))),
+	workers = max(1, min(workers, len(entries)))
+	p := &pool{obs: obs, entries: entries, order: claimOrder(entries, workers), workers: workers,
 		out: make([]outcome, len(entries)), done: make([]chan struct{}, len(entries))}
+	p.failed.Store(int64(len(entries)))
 	for i := range p.done {
 		p.done[i] = make(chan struct{})
 	}
 	return p
+}
+
+// claimOrder is the order workers claim entries in: catalog order for
+// one worker, else by descending Cost, ties in catalog order.
+func claimOrder(entries []scenario.Entry, workers int) []int {
+	order := make([]int, len(entries))
+	for i := range order {
+		order[i] = i
+	}
+	if workers > 1 {
+		sort.SliceStable(order, func(a, b int) bool { return entries[order[a]].Cost > entries[order[b]].Cost })
+	}
+	return order
 }
 
 // wait returns entry i's section once the entry has run; call it in
@@ -97,20 +117,35 @@ func (p *pool) wait(i int) (scenario.Section, error) {
 // close stops the workers claiming entries and waits for the running
 // ones to finish.
 func (p *pool) close() {
-	p.stop.Store(true)
+	p.fail(-1)
 	p.wg.Wait()
+}
+
+// fail lowers the failed index to i; close passes -1, which skips every
+// unclaimed entry.
+func (p *pool) fail(i int64) {
+	for {
+		f := p.failed.Load()
+		if i >= f || p.failed.CompareAndSwap(f, i) {
+			return
+		}
+	}
 }
 
 func (p *pool) work() {
 	defer p.wg.Done()
-	for !p.stop.Load() {
-		i := int(p.next.Add(1) - 1)
-		if i >= len(p.entries) {
+	for {
+		c := int(p.next.Add(1) - 1)
+		if c >= len(p.order) {
 			return
+		}
+		i := p.order[c]
+		if int64(i) > p.failed.Load() {
+			continue // after the first failure: the printer stops before it
 		}
 		p.out[i] = p.run(p.entries[i])
 		if p.out[i].err != nil || p.out[i].panic != nil {
-			p.stop.Store(true)
+			p.fail(int64(i))
 		}
 		close(p.done[i])
 	}

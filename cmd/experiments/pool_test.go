@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,6 +103,12 @@ func failing(title string, err error, wait, done chan struct{}) scenario.Entry {
 	}}
 }
 
+// costing returns e with the scheduling hint cost.
+func costing(e scenario.Entry, cost int) scenario.Entry {
+	e.Cost = cost
+	return e
+}
+
 // prefix is the report's stdout for sections of entries all passing,
 // followed by the title of stopAt.
 func prefix(stopAt string, passed ...string) string {
@@ -117,9 +124,10 @@ func prefix(stopAt string, passed ...string) string {
 // error of the first failed entry in catalog order, even when a later
 // entry failed first. Each case runs at pool sizes 1 and 2; at 2 the
 // cases where an entry waits for a later one make the later one fail
-// first in wall time.
+// first in wall time, and the heavy-first case has earlier entries
+// claimed only after a later, heavier one failed.
 func TestPoolFailuresInCatalogOrder(t *testing.T) {
-	errA, errB := errors.New("A failed"), errors.New("B failed")
+	errA, errB, errC := errors.New("A failed"), errors.New("B failed"), errors.New("C failed")
 	for _, workers := range []int{1, 2} {
 		// gate returns a channel an earlier entry waits on for a later
 		// one to finish; nil (no wait) on one worker, where the later
@@ -158,6 +166,28 @@ func TestPoolFailuresInCatalogOrder(t *testing.T) {
 			{"first entry fails", func() []scenario.Entry {
 				return []scenario.Entry{failing("A", errA, nil, nil), passing("B")}
 			}, prefix("A"), errA},
+			{"heavier later failure lets earlier entries run", func() []scenario.Entry {
+				// On two workers C and D are claimed first. D holds its
+				// worker until A has run, so A (and then B) can only be
+				// claimed by C's worker after C failed.
+				aDone := gate()
+				a := passing("A")
+				run := a.Run
+				a.Run = func(obs *obsflags.Observatory, s *scenario.Section) error {
+					if aDone != nil {
+						defer close(aDone)
+					}
+					return run(obs, s)
+				}
+				d := passing("D")
+				d.Run = func(*obsflags.Observatory, *scenario.Section) error {
+					if aDone != nil {
+						<-aDone
+					}
+					return nil
+				}
+				return []scenario.Entry{a, passing("B"), costing(failing("C", errC, nil, nil), 10), costing(d, 5)}
+			}, prefix("C", "A", "B"), errC},
 		} {
 			t.Run(fmt.Sprintf("workers=%d/%s", workers, tc.name), func(t *testing.T) {
 				var out bytes.Buffer
@@ -169,6 +199,38 @@ func TestPoolFailuresInCatalogOrder(t *testing.T) {
 					t.Errorf("stdout:\n%s\nwant:\n%s", out.String(), tc.want)
 				}
 			})
+		}
+	}
+}
+
+// TestPoolClaimOrder: a pool of several workers claims entries by
+// descending Cost, ties (zero costs among them) in catalog order; one
+// worker claims them in catalog order. Every order is a permutation of
+// the catalog, the report's own included.
+func TestPoolClaimOrder(t *testing.T) {
+	var synthetic []scenario.Entry
+	for i, c := range []int{0, 5, 0, 9, 5, 0, 1} {
+		synthetic = append(synthetic, costing(passing(fmt.Sprint(i)), c))
+	}
+	for workers, want := range map[int][]int{1: {0, 1, 2, 3, 4, 5, 6}, 2: {3, 1, 4, 6, 0, 2, 5}, 4: {3, 1, 4, 6, 0, 2, 5}} {
+		if got := claimOrder(synthetic, workers); !slices.Equal(got, want) {
+			t.Errorf("%d workers: claim order %v, want %v", workers, got, want)
+		}
+	}
+	catalog := scenario.Report()
+	for _, workers := range []int{1, 2, 4} {
+		order := claimOrder(catalog, workers)
+		sorted := slices.Clone(order)
+		slices.Sort(sorted)
+		if !slices.Equal(sorted, claimOrder(catalog, 1)) {
+			t.Fatalf("%d workers: claim order %v is not a permutation of the %d entries", workers, order, len(catalog))
+		}
+		for k := 1; k < len(order); k++ {
+			prev, cur := catalog[order[k-1]], catalog[order[k]]
+			inCatalogOrder := order[k-1] < order[k]
+			if workers == 1 && !inCatalogOrder || workers > 1 && (prev.Cost < cur.Cost || prev.Cost == cur.Cost && !inCatalogOrder) {
+				t.Fatalf("%d workers: %q (cost %d) claimed before %q (cost %d)", workers, prev.Title, prev.Cost, cur.Title, cur.Cost)
+			}
 		}
 	}
 }

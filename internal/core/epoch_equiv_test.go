@@ -132,3 +132,51 @@ func TestCFMemoryBeginDuringFoldPanics(t *testing.T) {
 	})
 	pc.Run(int64(cfg.BlockTime()) + 4)
 }
+
+// TestPartialSyncScalingShapes pins the two checks of the report's
+// engine synchronization scaling entry on its fleet shapes (n128/m16
+// and n1024/m128 at rate 0.2), over fewer slots: at 2 and 4 workers,
+// per-slot and epoch-batched runs leave the Partial in the state the
+// one-worker clock does, and a per-slot run crosses the barrier at least
+// 4x as often per slot as a batched one.
+func TestPartialSyncScalingShapes(t *testing.T) {
+	const slots = 400
+	fleet := func(n, m int) *Partial {
+		return NewPartial(PartialConfig{Processors: n, Modules: m, BlockWords: 2 * (n / m), BankCycle: 2,
+			Locality: 0.9, AccessRate: 0.2, RetryMean: 4, Seed: 42})
+	}
+	state := func(p *Partial) []byte {
+		enc := sim.NewStateEncoder()
+		p.SaveState(enc)
+		if enc.Err() != nil {
+			t.Fatal(enc.Err())
+		}
+		return enc.Bytes()
+	}
+	for _, sh := range []struct{ n, m int }{{128, 16}, {1024, 128}} {
+		serial := fleet(sh.n, sh.m)
+		clk := sim.NewClock()
+		clk.Register(serial)
+		clk.Run(slots)
+		want := state(serial)
+		for _, w := range []int{2, 4} {
+			var perSlot [2]float64
+			for mi, k := range []int{1, sim.EpochAuto} {
+				p := fleet(sh.n, sh.m)
+				pc := sim.NewParallelClock(w)
+				pc.SetEpochBatch(k)
+				pc.Register(p)
+				pc.Run(slots)
+				pc.Close()
+				if !bytes.Equal(state(p), want) {
+					t.Errorf("n%d/m%d, %d workers, epoch batch %d: Partial state diverged from the one-worker clock", sh.n, sh.m, w, k)
+				}
+				perSlot[mi] = float64(pc.BarrierCrossings()) / slots
+			}
+			if perSlot[0] < 4*perSlot[1] || perSlot[1] == 0 {
+				t.Errorf("n%d/m%d, %d workers: %.3f crossings per slot per-slot, %.3f batched; want batched nonzero and at least 4x fewer",
+					sh.n, sh.m, w, perSlot[0], perSlot[1])
+			}
+		}
+	}
+}

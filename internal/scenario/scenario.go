@@ -64,28 +64,35 @@ func (s *Section) check(name string, ok bool, detail string) {
 type Entry struct {
 	Title string
 	Run   func(obs *obsflags.Observatory, s *Section) error
+	// Cost is a scheduling hint, never output: the report pool claims
+	// entries with a higher Cost first, so only the rank matters. The
+	// entries whose placement changes the report's wall time carry their
+	// run time on one core in milliseconds, rounded (best of 5 at
+	// GOMAXPROCS=1 on a 2-vCPU Xeon VM); the rest run in their shadow
+	// and carry 0.
+	Cost int
 }
 
 // Report returns the catalog in report order. The titles are the
 // section keys cfmbench's paper_suite parses; keep them byte for byte.
 func Report() []Entry {
 	return []Entry{
-		{"Table 3.1 — address path connections (4 procs, 8 banks, c=2)", table31},
-		{"Table 3.3 — CFM configuration trade-off (l=256, c=2)", table33},
-		{"Table 3.4 — 8x8 synchronous omega switch states", table34},
-		{"Table 3.5 — 64-bank configurations", table35},
-		{"Fig 2.1 — tree saturation from a hot spot", fig21},
-		{"Fig 3.6 — read timing (c=2)", fig36},
-		{"Fig 3.13 — efficiency, conventional vs conflict-free (n=8, m=8, β=17)", fig313},
-		{"Figs 3.14/3.15 — partially conflict-free efficiency", fig314and315},
-		{"Figs 3.9/3.10 — message headers", fig39},
-		{"Chapter 4 — address tracking (Figs 4.1, 4.3–4.6)", chapter4},
-		{"Fig 5.4 — lock transfer", fig54},
-		{"Fig 5.5 — atomic multiple lock/unlock", fig55},
-		{"Tables 5.5/5.6 — hierarchical read latency", tables55and56},
-		{"Chapter 6 — resource binding", chapter6},
-		{"Extensions (§3.3, §7.2, §2.2 — beyond the published evaluation)", extensions},
-		{"Engine synchronization scaling (combining-tree barrier + epoch batching)", syncScaling},
+		{"Table 3.1 — address path connections (4 procs, 8 banks, c=2)", table31, 0},
+		{"Table 3.3 — CFM configuration trade-off (l=256, c=2)", table33, 0},
+		{"Table 3.4 — 8x8 synchronous omega switch states", table34, 0},
+		{"Table 3.5 — 64-bank configurations", table35, 0},
+		{"Fig 2.1 — tree saturation from a hot spot", fig21, 56},
+		{"Fig 3.6 — read timing (c=2)", fig36, 0},
+		{"Fig 3.13 — efficiency, conventional vs conflict-free (n=8, m=8, β=17)", fig313, 56},
+		{"Figs 3.14/3.15 — partially conflict-free efficiency", fig314and315, 219},
+		{"Figs 3.9/3.10 — message headers", fig39, 0},
+		{"Chapter 4 — address tracking (Figs 4.1, 4.3–4.6)", chapter4, 0},
+		{"Fig 5.4 — lock transfer", fig54, 0},
+		{"Fig 5.5 — atomic multiple lock/unlock", fig55, 0},
+		{"Tables 5.5/5.6 — hierarchical read latency", tables55and56, 0},
+		{"Chapter 6 — resource binding", chapter6, 0},
+		{"Extensions (§3.3, §7.2, §2.2 — beyond the published evaluation)", extensions, 108},
+		{"Engine synchronization scaling (combining-tree barrier + epoch batching)", syncScaling, 486},
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -624,39 +625,105 @@ func TestBarrierSpinsTunable(t *testing.T) {
 	}
 }
 
-// TestBarrierPureSpinPolicy pins when a pool's barrier waits spin
-// without yielding first: only when the pool has no more workers than
-// GOMAXPROCS or NumCPU, read on every run, so a pool built under another
-// GOMAXPROCS is rebuilt. An oversubscribed pool keeps the yielding path,
-// on which a waiter cannot hold the P or CPU of the worker it waits for.
+// TestBarrierPureSpinPolicy pins the one spin rule: a barrier waiter
+// spins purely only while the workers inside runs, summed over every
+// engine of the process, number at most min(GOMAXPROCS, NumCPU). Each
+// case starts its engines at once; each reads the rule from a serial
+// ticker on its worker 0 once every engine is inside its run, and all
+// must equal a serial run. The cases with more Ps than CPUs pin the
+// NumCPU half of the bound. The count falls back to 0 after the runs
+// and after runs whose worker panicked (the poisoned path).
 func TestBarrierPureSpinPolicy(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, workers := range []int{2, 3} {
-		oracle := newEpochComp(8, MaskAll)
-		sc := NewClock()
-		sc.Register(oracle)
-		sc.Run(15)
-
-		ec := newEpochComp(8, MaskAll)
-		pc := NewParallelClock(workers)
-		pc.Register(ec)
-		for _, procs := range []int{2, 1, 3} {
-			runtime.GOMAXPROCS(procs)
-			pc.Run(5)
-			want := 0
-			if workers <= min(procs, runtime.NumCPU()) {
-				want = barrierPureSpins
+	const slots = 5
+	oracle := newEpochComp(8, MaskAll)
+	sc := NewClock()
+	sc.Register(oracle)
+	sc.Run(slots)
+	for _, tc := range []struct {
+		name    string
+		procs   int
+		workers []int // one engine each, all running at once
+	}{
+		{"lone 2-worker pool", 2, []int{2}},
+		{"two 2-worker pools", 2, []int{2, 2}},
+		{"one worker beside a 2-worker pool", 2, []int{1, 2}},
+		{"2-worker pool on one P", 1, []int{2}},
+		{"lone 3-worker pool", 3, []int{3}}, // an odd tree
+		{"lone 2-worker pool, more Ps than CPUs", runtime.NumCPU() + 1, []int{2}},
+		{"pool larger than the CPUs", runtime.NumCPU() + 1, []int{runtime.NumCPU() + 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runtime.GOMAXPROCS(tc.procs)
+			total := 0
+			for _, w := range tc.workers {
+				total += w
 			}
-			if got := pc.pool.bar.pure; got != want {
-				t.Fatalf("%d workers on GOMAXPROCS %d, NumCPU %d: pool spins %d pure loads, want %d",
-					workers, procs, runtime.NumCPU(), got, want)
+			want := total <= min(tc.procs, runtime.NumCPU())
+			var inside, read, done sync.WaitGroup
+			inside.Add(len(tc.workers))
+			read.Add(len(tc.workers))
+			got := make([]bool, len(tc.workers))
+			comps := make([]*epochComp, len(tc.workers))
+			for i, w := range tc.workers {
+				comps[i] = newEpochComp(8, MaskAll)
+				pc := NewParallelClock(w)
+				pc.Register(comps[i])
+				probed := false
+				pc.Register(TickerFunc(func(Slot, Phase) {
+					if probed {
+						return
+					}
+					probed = true
+					inside.Done()
+					inside.Wait()
+					got[i] = spinsPurely()
+					read.Done()
+					read.Wait()
+				}))
+				done.Add(1)
+				go func() {
+					defer done.Done()
+					defer pc.Close()
+					pc.Run(slots)
+				}()
 			}
-		}
-		pc.Close()
-		if ec.snapshot() != oracle.snapshot() {
-			t.Fatalf("%d workers diverged from serial:\n got %s\nwant %s", workers, ec.snapshot(), oracle.snapshot())
-		}
+			done.Wait()
+			for i, w := range tc.workers {
+				if got[i] != want {
+					t.Errorf("%d-worker engine among %v on GOMAXPROCS %d, NumCPU %d: spins purely %v, want %v",
+						w, tc.workers, tc.procs, runtime.NumCPU(), got[i], want)
+				}
+				if comps[i].snapshot() != oracle.snapshot() {
+					t.Errorf("%d-worker engine diverged from serial:\n got %s\nwant %s", w, comps[i].snapshot(), oracle.snapshot())
+				}
+			}
+			if n := runWorkers.Load(); n != 0 {
+				t.Fatalf("%d workers still counted inside runs after every run returned", n)
+			}
+		})
 	}
+	t.Run("panicked runs", func(t *testing.T) {
+		runtime.GOMAXPROCS(2)
+		for _, w := range []int{1, 2} {
+			ec := newEpochComp(8, MaskAll)
+			ec.panicAt, ec.panicSh = 2, 7 // shard 7 is the last worker's
+			pc := NewParallelClock(w)
+			pc.Register(ec)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%d workers: the shard panic did not reach the caller", w)
+					}
+				}()
+				pc.Run(slots)
+			}()
+			pc.Close()
+			if n := runWorkers.Load(); n != 0 {
+				t.Fatalf("%d workers still counted inside runs after a %d-worker run panicked", n, w)
+			}
+		}
+	})
 }
 
 // TestBarrierArityShapesPool pins the tunable and the automatic pick.
@@ -690,14 +757,15 @@ func TestTreeNodePadding(t *testing.T) {
 }
 
 // BenchmarkTreeBarrierCrossing is the barrier's own number: one op is
-// one crossing of a two-worker tree, with the pure spin phase a pool
-// that fits the machine gets.
+// one crossing of a two-worker tree, counted as one run's two workers,
+// so it has the pure spin phase a lone pool that fits the machine gets.
 func BenchmarkTreeBarrierCrossing(b *testing.B) {
 	if min(runtime.GOMAXPROCS(0), runtime.NumCPU()) < 2 {
 		b.Skip("fewer than 2 Ps or CPUs: a two-worker pool would not spin")
 	}
+	defer leaveRun(enterRun(2))
 	var bar treeBarrier
-	bar.init(2, pickArity(2), defaultBarrierSpins, barrierPureSpins)
+	bar.init(2, pickArity(2), defaultBarrierSpins)
 	done := make(chan struct{})
 	go func() {
 		var sense uint64

@@ -794,11 +794,14 @@ func (pc *ParallelClock) RunUntil(pred func() bool, budget int64) (int64, bool) 
 // run executes one Run or RunUntil: worker 0 takes the first decision
 // on the caller, then every worker runs the episode loop. One worker
 // runs it directly, so a panic unwinds to the caller untouched; a pool
-// run releases the gate and recovers panics (see runPool).
+// run releases the gate and recovers panics (see runPool). The run's
+// workers count toward the spin rule (spinsPurely) until it returns or
+// panics.
 func (pc *ParallelClock) run(n int64, pred func() bool) int64 {
 	if !pc.planned {
 		pc.compile()
 	}
+	defer leaveRun(enterRun(pc.workers))
 	p := pc.ensurePool()
 	pc.runN, pc.runDone, pc.runPred = n, 0, pred
 	pc.batched = pc.workers > 1 && pc.batchable && pred == nil && pc.epochCap() > 1
@@ -855,14 +858,9 @@ func (pc *ParallelClock) Close() {
 	p.wg.Wait()
 }
 
-// barrierShape resolves the configured tree arity and spin bounds for
-// the current worker count. The pure spin phase is on only when every
-// worker can hold a P and a CPU of its own: in an oversubscribed pool a
-// pure spinner holds the P, or the CPU under a GOMAXPROCS above
-// NumCPU, that the worker it waits for needs. GOMAXPROCS is read here,
-// on every run of a pool, so a pool built under another value is
-// rebuilt; one worker never waits and does not read it.
-func (pc *ParallelClock) barrierShape() (arity, spins, pure int) {
+// barrierShape resolves the configured tree arity and spin bound for
+// the current worker count.
+func (pc *ParallelClock) barrierShape() (arity, spins int) {
 	arity = pc.cfgArity
 	if arity == 0 {
 		arity = pickArity(pc.workers)
@@ -871,23 +869,20 @@ func (pc *ParallelClock) barrierShape() (arity, spins, pure int) {
 	if spins == 0 {
 		spins = defaultBarrierSpins
 	}
-	if pc.workers > 1 && pc.workers <= min(runtime.GOMAXPROCS(0), runtime.NumCPU()) {
-		pure = barrierPureSpins
-	}
-	return arity, spins, pure
+	return arity, spins
 }
 
 // ensurePool returns a worker pool sized and shaped for the current
 // plan, retiring a stale one first. At one worker the pool is one
 // barrier node and no goroutine.
 func (pc *ParallelClock) ensurePool() *workerPool {
-	arity, spins, pure := pc.barrierShape()
-	if p := pc.pool; p != nil && p.n == pc.workers && p.arity == arity && p.spins == spins && p.bar.pure == pure {
+	arity, spins := pc.barrierShape()
+	if p := pc.pool; p != nil && p.n == pc.workers && p.arity == arity && p.spins == spins {
 		return p
 	}
 	pc.Close()
 	p := &workerPool{n: pc.workers, arity: arity, spins: spins}
-	p.bar.init(pc.workers, arity, spins, pure)
+	p.bar.init(pc.workers, arity, spins)
 	pc.sense0 = 0
 	pc.pool = p
 	p.wg.Add(pc.workers - 1)

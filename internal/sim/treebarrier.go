@@ -31,15 +31,16 @@ import (
 // resetting and a fast worker re-arriving for round g+1 cannot corrupt
 // round g (all waits are monotonic >= comparisons).
 //
-// A wait has up to three phases. In a pool that fits the machine (no
-// more workers than GOMAXPROCS or NumCPU) a waiter first loads its flag
+// A wait has up to three phases. While the workers inside runs, summed
+// over every engine of the process, fit the machine (no more than
+// GOMAXPROCS or NumCPU; see spinsPurely) a waiter first loads its flag
 // in a short pure loop (barrierPureSpins): across a short wait it keeps
 // its core, and with it the cache lines of the shards it owns, where a
-// yield could let the workers trade cores. An oversubscribed pool skips
-// that phase, since a pure spinner there holds the P or CPU the worker
-// it waits for needs. Then comes a bounded phase of spins that yield to
-// the scheduler between loads (defaultBarrierSpins); after it a waiter
-// blocks on the barrier's condition variable, so an idle engine —
+// yield could let the workers trade cores. An oversubscribed process
+// skips that phase, since a pure spinner there holds the P or CPU the
+// worker it waits for needs. Then comes a bounded phase of spins that
+// yield to the scheduler between loads (defaultBarrierSpins); after it a
+// waiter blocks on the barrier's condition variable, so an idle engine —
 // workers parked on the pool gate between runs — costs no CPU. Flag
 // writers broadcast only when the sleeper count says someone is
 // actually blocked: the store-flag-then-load-sleepers /
@@ -59,8 +60,34 @@ const barrierMaxArity = 4
 const defaultBarrierSpins = 2048
 
 // barrierPureSpins bounds the pure spin phase that precedes the yielding
-// one in a pool that fits the machine (see ParallelClock.barrierShape).
+// one while the process's runs fit the machine (see spinsPurely).
 const barrierPureSpins = 1000
+
+// The one spin rule's state, process-wide: runWorkers counts the workers
+// inside a ParallelClock run, every engine's and one-worker runs
+// included, and runCPUs is min(GOMAXPROCS, NumCPU) as the latest pool
+// run read it.
+var runWorkers, runCPUs atomic.Int32
+
+// spinsPurely reports whether a barrier waiter spins purely before it
+// yields: only while the workers inside runs fit the machine, so that
+// concurrent pools, or a pool beside one-worker runs, never spin on a
+// core another run's worker needs.
+func spinsPurely() bool { return runWorkers.Load() <= runCPUs.Load() }
+
+// enterRun counts a run's n workers into runWorkers and returns the
+// count for leaveRun. A pool run also refreshes runCPUs; one worker
+// never waits, so it does not read GOMAXPROCS.
+func enterRun(n int) int32 {
+	if n > 1 {
+		runCPUs.Store(int32(min(runtime.GOMAXPROCS(0), runtime.NumCPU())))
+	}
+	runWorkers.Add(int32(n))
+	return int32(n)
+}
+
+// leaveRun counts a run's workers back out of runWorkers.
+func leaveRun(n int32) { runWorkers.Add(-n) }
 
 // pickArity selects the tree fan-in for n workers: flat-ish trees for
 // the small pools this simulator typically runs (one round of remote
@@ -97,7 +124,6 @@ type treeBarrier struct {
 	nodes []treeNode
 	arity int
 	spins int // yielding spins before a waiter blocks
-	pure  int // pure spins before the yielding ones; 0 when oversubscribed
 
 	poison   atomic.Bool
 	sleepers atomic.Int32 // waiters blocked on cond (not spinning)
@@ -105,7 +131,7 @@ type treeBarrier struct {
 	cond     sync.Cond
 }
 
-func (b *treeBarrier) init(n, arity, spins, pure int) {
+func (b *treeBarrier) init(n, arity, spins int) {
 	if arity < 2 {
 		arity = 2
 	}
@@ -118,7 +144,6 @@ func (b *treeBarrier) init(n, arity, spins, pure int) {
 	b.nodes = make([]treeNode, n)
 	b.arity = arity
 	b.spins = spins
-	b.pure = pure
 	b.cond.L = &b.mu
 }
 
@@ -155,14 +180,17 @@ func (b *treeBarrier) post(f *atomic.Uint64, g uint64) {
 	}
 }
 
-// spinWait waits for *f >= g: a bounded pure spin (in a pool that fits
-// the machine), a bounded spin that yields between loads, then a block
-// on the condition variable. Poison converts the wait into the sentinel
-// panic; the pure phase leaves the poison check to the phases after it.
+// spinWait waits for *f >= g: a bounded pure spin (while the process's
+// runs fit the machine), a bounded spin that yields between loads, then
+// a block on the condition variable. Poison converts the wait into the
+// sentinel panic; the pure phase leaves the poison check to the phases
+// after it.
 func (b *treeBarrier) spinWait(f *atomic.Uint64, g uint64) {
-	for i := 0; i < b.pure; i++ {
-		if f.Load() >= g {
-			return
+	if spinsPurely() {
+		for i := 0; i < barrierPureSpins; i++ {
+			if f.Load() >= g {
+				return
+			}
 		}
 	}
 	for i := 0; i < b.spins; i++ {
