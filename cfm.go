@@ -111,20 +111,23 @@ func MaskOf(phases ...Phase) PhaseMask { return sim.MaskOf(phases...) }
 func NewClock() *Clock { return sim.NewClock() }
 
 // WorkersAuto asks NewParallelClock to choose its own worker count: it
-// inspects the registered fleet and falls back to serial execution when
-// the parallel sections are too narrow to pay for the barriers.
+// inspects the registered fleet and runs on one worker when the plan
+// cannot run on a pool (any component that is not epoch-safe) or its
+// shards are too narrow to pay for the barriers.
 const WorkersAuto = sim.WorkersAuto
 
 // NewParallelClock returns the engine at slot 0 with the given worker
-// count (1 = NewClock, WorkersAuto = heuristic, < 0 = GOMAXPROCS).
+// count (1 = NewClock, WorkersAuto = heuristic, < 0 = GOMAXPROCS). A
+// plan with any component that is not epoch-safe runs on one worker
+// whatever the count.
 func NewParallelClock(workers int) *ParallelClock { return sim.NewParallelClock(workers) }
 
 // EpochAuto asks Engine.SetEpochBatch to size barrier episodes itself:
-// a batchable plan (all shard work, every component epoch-safe) fuses
-// several slots per barrier episode so crossings amortize; any other
-// plan runs slot-at-a-time. It is the default — pass 1 to disable
-// batching, k > 1 to cap episodes at k slots. The simulation is
-// bit-identical at any setting.
+// a worker pool (which only a batchable plan — all shard work, every
+// component epoch-safe — gets) fuses several slots per barrier episode
+// so crossings amortize; one worker runs slot-at-a-time. It is the
+// default — pass 1 for one-slot episodes, k > 1 to cap episodes at k
+// slots. The simulation is bit-identical at any setting.
 const EpochAuto = sim.EpochAuto
 
 // NewTrace returns an empty event trace.

@@ -87,9 +87,11 @@ type CFMemory struct {
 	// slots hit the same bank on different slots.
 	//cfm:no-save fold scratch, drained by FinishShards/FinishEpoch before any checkpoint boundary
 	stage []procStage
-	// folding guards against StartRead/StartWrite from inside an epoch
-	// fold: an access begun there would have missed its bank visits for
-	// the already-ticked remainder of the episode.
+	// folding guards against StartRead/StartWrite from inside a fold of
+	// a multi-slot episode: an access begun there would have missed its
+	// bank visits for the already-ticked remainder of the episode. A
+	// one-slot fold sits where the slot's last FinishShards would, so it
+	// lets a done callback begin the next access.
 	//cfm:no-save reentrancy guard, always false outside a FinishEpoch fold
 	folding bool
 	// doneRebind, when set, reconstructs the completion callback of an
@@ -323,7 +325,7 @@ func (m *CFMemory) recycle(a *access) {
 func (m *CFMemory) begin(t sim.Slot, p int, a *access) {
 	if m.folding {
 		panic(fmt.Sprintf("core: processor %d started an access at slot %d during an epoch fold; "+
-			"issue from a ticker (which disables batching) or SetEpochBatch(1)", p, t))
+			"issue from a ticker (which puts the plan on one worker) or SetEpochBatch(1)", p, t))
 	}
 	if !m.CanStart(t, p) {
 		panic(fmt.Sprintf("core: processor %d started an access at slot %d while busy", p, t))
@@ -516,7 +518,7 @@ func (m *CFMemory) EpochSafe() bool { return true }
 // flight retires, done callbacks). Completion counters are commutative
 // and fold once at the end, like Partial's.
 func (m *CFMemory) FinishEpoch(from, to sim.Slot) {
-	m.folding = true
+	m.folding = to-from > 1
 	for p := range m.stage {
 		st := &m.stage[p]
 		st.cVisit, st.cTF, st.cEv, st.cUF, st.cDone = 0, 0, 0, 0, 0

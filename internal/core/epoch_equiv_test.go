@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"cfm/internal/flight"
@@ -133,12 +134,58 @@ func TestCFMemoryBeginDuringFoldPanics(t *testing.T) {
 	pc.Run(int64(cfg.BlockTime()) + 4)
 }
 
+// TestCFMemoryDoneChainOneSlotEpisodes: at SetEpochBatch(1) a pool folds
+// every slot on its own, where the one-worker walk's last finalizer of
+// the slot sits, so a done callback may begin the next access there. A
+// chain of five reads, each begun by the previous one's callback, must
+// complete on 2 workers exactly as on one.
+func TestCFMemoryDoneChainOneSlotEpisodes(t *testing.T) {
+	cfg := cfg42()
+	const reads = 5
+	run := func(eng sim.Engine) (*CFMemory, []sim.Slot) {
+		m := NewCFMemory(cfg, nil)
+		eng.Register(m)
+		var finished []sim.Slot
+		var read func(i int, at sim.Slot)
+		read = func(i int, at sim.Slot) {
+			var done sim.Slot
+			done = m.StartRead(at, i%cfg.Processors, i%4, func(memory.Block) {
+				finished = append(finished, done)
+				if i+1 < reads {
+					read(i+1, done+1)
+				}
+			})
+		}
+		read(0, 0)
+		eng.Run(int64(reads*(cfg.BlockTime()+1)) + 4)
+		return m, finished
+	}
+	sm, want := run(sim.NewClock())
+	if len(want) != reads {
+		t.Fatalf("one worker completed %d of %d chained reads", len(want), reads)
+	}
+	pc := sim.NewParallelClock(2)
+	pc.SetEpochBatch(1)
+	defer pc.Close()
+	pm, got := run(pc)
+	if fmt.Sprint(got) != fmt.Sprint(want) || pm.Completed != sm.Completed {
+		t.Fatalf("2 workers at K=1 completed reads at %v (%d in all), one worker at %v (%d)",
+			got, pm.Completed, want, sm.Completed)
+	}
+	if pc.Epochs() != pc.SlotsFired() {
+		t.Fatalf("%d episodes over %d slots: the run did not take one-slot episodes on the pool",
+			pc.Epochs(), pc.SlotsFired())
+	}
+}
+
 // TestPartialSyncScalingShapes pins the two checks of the report's
 // engine synchronization scaling entry on its fleet shapes (n128/m16
 // and n1024/m128 at rate 0.2), over fewer slots: at 2 and 4 workers,
-// per-slot and epoch-batched runs leave the Partial in the state the
-// one-worker clock does, and a per-slot run crosses the barrier at least
-// 4x as often per slot as a batched one.
+// one-slot and multi-slot episodes leave the Partial in the state the
+// one-worker clock does; a one-slot run (the "per-slot" cells) pays
+// exactly one episode and two crossings per slot, the figure the report
+// prints; and it crosses the barrier at least 4x as often per slot as
+// a batched one.
 func TestPartialSyncScalingShapes(t *testing.T) {
 	const slots = 400
 	fleet := func(n, m int) *Partial {
@@ -172,6 +219,10 @@ func TestPartialSyncScalingShapes(t *testing.T) {
 					t.Errorf("n%d/m%d, %d workers, epoch batch %d: Partial state diverged from the one-worker clock", sh.n, sh.m, w, k)
 				}
 				perSlot[mi] = float64(pc.BarrierCrossings()) / slots
+				if k == 1 && (pc.Epochs() != slots || pc.BarrierCrossings() != 2*slots) {
+					t.Errorf("n%d/m%d, %d workers, epoch batch 1: %d episodes and %d crossings over %d slots, want 1 and 2 per slot",
+						sh.n, sh.m, w, pc.Epochs(), pc.BarrierCrossings(), slots)
+				}
 			}
 			if perSlot[0] < 4*perSlot[1] || perSlot[1] == 0 {
 				t.Errorf("n%d/m%d, %d workers: %.3f crossings per slot per-slot, %.3f batched; want batched nonzero and at least 4x fewer",

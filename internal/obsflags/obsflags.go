@@ -39,7 +39,7 @@ type Observatory struct {
 
 	Workers    int  // -workers: engine workers (1 by default; sim.WorkersAuto sizes the pool per plan)
 	SkipAhead  bool // -skip-ahead: jump the clock over quiescent slots
-	EpochBatch int  // -epoch-batch: barrier episode bound (sim.EpochAuto = auto); no-op on one worker
+	EpochBatch int  // -epoch-batch: pool episode bound (sim.EpochAuto = auto); no-op on one worker
 
 	Reg      *metrics.Registry
 	Sampler  *metrics.Sampler
@@ -71,11 +71,11 @@ func Flags(fs *flag.FlagSet) *Observatory {
 	fs.IntVar(&ob.SpansLimit, "spans-limit", flight.DefaultLimit,
 		"flight recorder capacity in events, 0 for the default (the ring keeps the newest)")
 	fs.IntVar(&ob.Workers, "workers", 1,
-		"cycle engine workers (1 = one worker; 0 = auto: one worker for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS)")
+		"cycle engine workers (1 = one worker; 0 = auto: one worker for small fleets, else GOMAXPROCS; <0 = GOMAXPROCS); a plan with any component that is not epoch-safe runs on one worker")
 	fs.BoolVar(&ob.SkipAhead, "skip-ahead", false,
 		"jump the clock over quiescent slots (event-horizon scheduling; same results, bit for bit)")
 	fs.IntVar(&ob.EpochBatch, "epoch-batch", sim.EpochAuto,
-		"barrier episode length: 0 = auto, 1 = per-slot barriers, K > 1 caps episodes at K slots (parallel engine only; same results, bit for bit)")
+		"worker pool episode length: 0 = auto, 1 = one-slot episodes, K > 1 caps episodes at K slots (no-op on one worker; same results, bit for bit)")
 	return ob
 }
 

@@ -359,6 +359,9 @@ func (s *shardedLoad) EpochSafe() bool                          { return true }
 // barrier work, so stamping crossings/epochs would break the
 // byte-identity between a resumed and an uninterrupted run. Those live
 // on /statusz and the /metrics scrape instead (see internal/metrics).
+// The engine runs on its pool before Attach: the sampler Attach
+// registers is a plain ticker, which puts the plan on one worker, and
+// the counters must already be nonzero when Close stamps the rest.
 func TestCloseExcludesSyncCounters(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	ob := Flags(fs)
@@ -372,12 +375,13 @@ func TestCloseExcludesSyncCounters(t *testing.T) {
 	eng := sim.NewParallelClock(2)
 	defer eng.Close()
 	eng.Register(&shardedLoad{vals: make([]int64, 8)})
-	ob.Attach(eng)
 	eng.Run(40)
 	if eng.BarrierCrossings() == 0 || eng.Epochs() == 0 {
 		t.Fatalf("parallel run reported no synchronization: crossings=%d epochs=%d",
 			eng.BarrierCrossings(), eng.Epochs())
 	}
+	ob.Attach(eng)
+	eng.Run(40)
 	if err := ob.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -867,8 +867,9 @@ func extensions(obs *obsflags.Observatory, s *Section) error {
 
 // syncScaling measures the parallel engine's synchronization cost on
 // the partially conflict-free fleets: barrier crossings per simulated
-// slot under per-slot barriers (epoch-batch 1) versus batched episodes
-// (epoch-batch auto), across worker counts and fleet sizes. The
+// slot under one-slot episodes (epoch-batch 1, the "per-slot" rows)
+// versus batched episodes (epoch-batch auto), across worker counts and
+// fleet sizes. The
 // simulated results must be bit-identical in every cell — only the
 // synchronization schedule may change. It builds its own engines: the
 // engine settings are what it measures.

@@ -36,8 +36,15 @@ type epochComp struct {
 	// panicAt triggers a deliberate shard panic (poison-path tests).
 	panicAt Slot
 	panicSh int
-	stopAt  Slot // when >0, call stop() at this slot (shard 0)
+	stopAt  Slot // when >0, call stop() at this slot (shard stopSh)
+	stopSh  int
 	stop    func()
+	// onFold, when set, runs at the start of every FinishShards and
+	// FinishEpoch: on worker 0, with every shard of the fold ticked.
+	onFold func()
+	// notSafe makes EpochSafe report false, so a plan holding the
+	// component cannot run on a pool.
+	notSafe bool
 	// quiesceAt > 0 makes the component honestly quiescent from that
 	// slot on: TickShard becomes a no-op and Horizon reports
 	// HorizonNone, so skip-ahead may (but need not) skip the tail.
@@ -60,7 +67,7 @@ func newEpochComp(shards int, mask PhaseMask) *epochComp {
 func (e *epochComp) Tick(t Slot, ph Phase) { SerialTick(e, t, ph) }
 func (e *epochComp) PhaseMask() PhaseMask  { return e.mask }
 func (e *epochComp) Shards() int           { return e.shards }
-func (e *epochComp) EpochSafe() bool       { return true }
+func (e *epochComp) EpochSafe() bool       { return !e.notSafe }
 
 func (e *epochComp) Horizon(now Slot) Slot {
 	if e.quiesceAt > 0 && now >= e.quiesceAt {
@@ -73,7 +80,7 @@ func (e *epochComp) TickShard(t Slot, ph Phase, s int) {
 	if t == e.panicAt && s == e.panicSh && e.panicAt > 0 {
 		panic("epoch boom")
 	}
-	if e.stopAt > 0 && t == e.stopAt && s == 0 && e.stop != nil {
+	if e.stopAt > 0 && t == e.stopAt && s == e.stopSh && e.stop != nil {
 		e.stop()
 	}
 	if e.quiesceAt > 0 && t >= e.quiesceAt {
@@ -90,6 +97,9 @@ func (e *epochComp) fold(ev epochEvent) {
 // FinishShards drains everything staged this (slot, phase) in ascending
 // shard order — the serial fold the batched path must reproduce.
 func (e *epochComp) FinishShards(t Slot, ph Phase) {
+	if e.onFold != nil {
+		e.onFold()
+	}
 	e.finCalls++
 	for s := range e.staged {
 		for _, ev := range e.staged[s] {
@@ -104,6 +114,9 @@ func (e *epochComp) FinishShards(t Slot, ph Phase) {
 // (slot, phase)-nondecreasing because each shard runs the episode's
 // slots and phases in order.
 func (e *epochComp) FinishEpoch(from, to Slot) {
+	if e.onFold != nil {
+		e.onFold()
+	}
 	e.epCalls++
 	e.epoched += int64(to - from)
 	for s := range e.cursor {
@@ -139,13 +152,14 @@ func (e *epochComp) snapshot() string {
 // TestEpochBatchEquivalence sweeps (workers, arity, K, shards) against
 // the serial oracle: identical digests, states, and clock positions,
 // with the run length deliberately not a multiple of K so the final
-// episode truncates.
+// episode truncates. K = 1 is SetEpochBatch(1): one-slot episodes, each
+// folded by its own FinishEpoch at two crossings.
 func TestEpochBatchEquivalence(t *testing.T) {
 	const slots = 23
 	masks := []PhaseMask{MaskAll, MaskOf(PhaseIssue), MaskOf(PhaseConnect, PhaseUpdate)}
 	for _, workers := range []int{2, 3, 4} {
 		for _, arity := range []int{2, 3, 4} {
-			for _, k := range []int{2, 3, 5, 16} {
+			for _, k := range []int{1, 2, 3, 5, 16} {
 				for si, shards := range []int{4, 7, 16} {
 					mask := masks[si%len(masks)]
 					name := fmt.Sprintf("w%d_a%d_k%d_s%d", workers, arity, k, shards)
@@ -293,53 +307,73 @@ func TestEpochEpisodeTruncation(t *testing.T) {
 	}
 }
 
-// TestEpochBatchDisabled pins SetEpochBatch(1): one-slot episodes, one
-// bookkeeping round per slot.
-func TestEpochBatchDisabled(t *testing.T) {
-	ec := newEpochComp(8, MaskAll)
-	pc := NewParallelClock(2)
-	pc.SetEpochBatch(1)
-	pc.Register(ec)
-	defer pc.Close()
-	pc.Run(9)
-	if ec.epCalls != 0 {
-		t.Fatalf("FinishEpoch ran %d times with batching disabled", ec.epCalls)
-	}
-	if pc.Epochs() != 9 {
-		t.Fatalf("Epochs() = %d, want 9 single-slot rounds", pc.Epochs())
-	}
-}
-
-// TestEpochNonBatchablePlan: one plain serial ticker anywhere in the
-// plan must force one-slot episodes (and still match the serial oracle).
+// TestEpochNonBatchablePlan pins the rule that a pool runs only
+// batchable plans: a plan with a plain ticker, or with a Shardable that
+// is not EpochSafe, runs on one worker whatever worker count the engine
+// was given. It starts no goroutine, crosses no barrier, counts no
+// episode, and leaves the state the one-worker clock does.
 func TestEpochNonBatchablePlan(t *testing.T) {
-	run := func(eng Engine) (string, []Slot) {
-		ec := newEpochComp(6, MaskAll)
-		var serialSeen []Slot
-		eng.Register(ec)
-		eng.Register(TickerFunc(func(t Slot, ph Phase) {
-			if ph == PhaseUpdate {
-				serialSeen = append(serialSeen, t)
+	if runtime.GOMAXPROCS(0) < 2 {
+		// WorkersAuto would pick one worker anyway; widen so that only
+		// the rule keeps the pool off.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	}
+	const slots = 11
+	// Each plan is wide enough that WorkersAuto would pool it if it
+	// batched; build returns the plan's observable state.
+	plans := []struct {
+		name  string
+		build func(eng Engine) (state func() string)
+	}{
+		{"plain ticker", func(eng Engine) func() string {
+			ec := newEpochComp(autoSerialShards, MaskAll)
+			var seen []Slot
+			eng.Register(ec)
+			eng.Register(TickerFunc(func(t Slot, ph Phase) {
+				if ph == PhaseUpdate {
+					seen = append(seen, t)
+				}
+			}))
+			return func() string { return fmt.Sprint(ec.snapshot(), seen) }
+		}},
+		{"shardable not epoch-safe", func(eng Engine) func() string {
+			ec := newEpochComp(autoSerialShards, MaskAll)
+			closed := newEpochComp(4, MaskOf(PhaseTransfer))
+			closed.notSafe = true
+			eng.Register(ec)
+			eng.Register(closed)
+			return func() string { return ec.snapshot() + " " + closed.snapshot() }
+		}},
+	}
+	for _, plan := range plans {
+		sc := NewClock()
+		want := plan.build(sc)
+		sc.Run(slots)
+		for _, workers := range []int{2, 4, WorkersAuto} {
+			pc := NewParallelClock(workers)
+			got := plan.build(pc)
+			// Goroutines of earlier tests may still be exiting, so only a
+			// rise means this engine started a worker.
+			before := runtime.NumGoroutine()
+			pc.Run(slots)
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("%s, workers=%d: goroutines %d -> %d across the run, want no new one",
+					plan.name, workers, before, after)
 			}
-		}))
-		eng.Run(11)
-		return ec.snapshot(), serialSeen
-	}
-	wantSnap, wantSeen := run(NewClock())
-	pc := NewParallelClock(2)
-	defer pc.Close()
-	gotSnap, gotSeen := run(pc)
-	if gotSnap != wantSnap {
-		t.Fatalf("mixed plan diverged:\n got %s\nwant %s", gotSnap, wantSnap)
-	}
-	if fmt.Sprint(gotSeen) != fmt.Sprint(wantSeen) {
-		t.Fatalf("serial ticker saw %v, want %v", gotSeen, wantSeen)
-	}
-	if pc.batchable {
-		t.Fatal("plan with a serial ticker compiled as batchable")
-	}
-	if pc.Epochs() != 11 {
-		t.Fatalf("Epochs() = %d, want 11 one-slot episodes", pc.Epochs())
+			if pc.batchable || pc.pool.n != 1 {
+				t.Fatalf("%s, workers=%d: batchable=%v on a %d-worker pool, want one worker",
+					plan.name, workers, pc.batchable, pc.pool.n)
+			}
+			if pc.Epochs() != 0 || pc.BarrierCrossings() != 0 {
+				t.Fatalf("%s, workers=%d: %d episodes, %d crossings; want none",
+					plan.name, workers, pc.Epochs(), pc.BarrierCrossings())
+			}
+			if got() != want() {
+				t.Fatalf("%s, workers=%d: diverged from one worker:\n got %s\nwant %s",
+					plan.name, workers, got(), want())
+			}
+			pc.Close()
+		}
 	}
 }
 
@@ -415,8 +449,8 @@ func TestEpochSkipAheadAtEpisodeEdges(t *testing.T) {
 
 // TestEpochSkipAheadFromQuiescentStart: a skip-ahead run that starts
 // inside a quiescent stretch jumps before its first slot at every worker
-// count, so a 2-worker pool — per-slot or batched — fires and jumps
-// exactly as one worker does.
+// count, so a 2-worker pool — one-slot or multi-slot episodes — fires
+// and jumps exactly as one worker does.
 func TestEpochSkipAheadFromQuiescentStart(t *testing.T) {
 	run := func(workers, k int) (string, int64, int64) {
 		e := newEpochComp(8, MaskAll)
@@ -445,15 +479,25 @@ func TestEpochSkipAheadFromQuiescentStart(t *testing.T) {
 	}
 }
 
-// TestEpochBackToBackCallsStress drives a 2-worker pool and the
-// one-worker oracle through the same several hundred back-to-back Run(1),
-// Run(k), RunUntil, Step and Stop calls, on a batchable plan and on a
-// plan with a serial ticker. Consecutive calls relaunch the pool while
-// the previous run's workers are still leaving it — under -race this
-// checks that nothing a launch writes is read by those workers.
+// TestEpochBackToBackCallsStress drives a 2-worker engine and the
+// one-worker oracle through the same several hundred back-to-back
+// Run(1), Run(k), RunUntil, Step and Stop calls: on a batchable plan at
+// K=4 and at K=1, which run on the pool, and on a plan with a plain
+// ticker, which runs on one worker. Consecutive calls relaunch the pool
+// while the previous run's workers are still leaving it — under -race
+// this checks that nothing a launch writes is read by those workers.
 func TestEpochBackToBackCallsStress(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		t.Run(fmt.Sprintf("serial=%v", serial), func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		serial bool
+		k      int
+	}{
+		{"serial=false", false, 4},
+		{"serial=true", true, 4},
+		{"epoch-batch=1", false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serial, k := tc.serial, tc.k
 			build := func(eng *ParallelClock) (*epochComp, *[]Slot) {
 				e := newEpochComp(8, MaskAll)
 				e.stop = eng.Stop
@@ -468,7 +512,6 @@ func TestEpochBackToBackCallsStress(t *testing.T) {
 				}
 				return e, seen
 			}
-			const k = 4
 			oracle, pool := NewClock(), NewParallelClock(2)
 			pool.SetEpochBatch(k)
 			defer pool.Close()
@@ -496,12 +539,12 @@ func TestEpochBackToBackCallsStress(t *testing.T) {
 					pool.Step()
 				case 4:
 					// Stop from inside slot now+at: one worker ends the run
-					// after that slot, a batched pool at its episode edge;
-					// the oracle then catches up to the pool's slot.
+					// after that slot, a pool at its episode edge; the
+					// oracle then catches up to the pool's slot.
 					at := Slot(1 + rng.Intn(2*k))
 					oe.stopAt, pe.stopAt = oracle.Now()+at, pool.Now()+at
 					got = pool.Run(20)
-					if got <= int64(at) || got > int64(at)+k || (serial && got != int64(at)+1) {
+					if got <= int64(at) || got > int64(at)+int64(k) || (serial && got != int64(at)+1) {
 						t.Fatalf("op %d: Stop in slot +%d ended the pool run after %d slots", op, at, got)
 					}
 					want = oracle.Run(int64(at) + 1)
@@ -516,7 +559,11 @@ func TestEpochBackToBackCallsStress(t *testing.T) {
 			if pe.snapshot() != oe.snapshot() || fmt.Sprint(*pseen) != fmt.Sprint(*oseen) {
 				t.Fatalf("pool diverged from one worker:\n got %s\nwant %s", pe.snapshot(), oe.snapshot())
 			}
-			if pool.Epochs() == 0 || (!serial && pe.epCalls == 0) {
+			if serial {
+				if pool.Epochs() != 0 {
+					t.Fatalf("a plan with a plain ticker ran %d episodes on a pool", pool.Epochs())
+				}
+			} else if pool.Epochs() == 0 || pe.epCalls == 0 {
 				t.Fatalf("vacuous: %d episodes, %d FinishEpoch calls", pool.Epochs(), pe.epCalls)
 			}
 		})
@@ -549,12 +596,11 @@ func TestEpochPoisonPropagation(t *testing.T) {
 	}
 }
 
-// TestWorkersAutoDecisionTable pins the WorkersAuto resolution: the
-// shard-width bar for turning on worker goroutines drops from
-// autoSerialShards to autoEpochSerialShards when the compiled plan
-// epoch-batches (the per-slot coordination tax is amortized over whole
-// episodes), and stays at the per-slot ("classic") bar when batching is
-// off or the plan has serial work.
+// TestWorkersAutoDecisionTable pins the WorkersAuto resolution: a plan
+// with serial work never gets a pool, and for a batchable plan the
+// shard-width bar for turning on worker goroutines is
+// autoEpochSerialShards with multi-slot episodes and the higher
+// ("classic") autoSerialShards with one-slot episodes.
 func TestWorkersAutoDecisionTable(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		// The table is only meaningful when "go parallel" differs from
@@ -572,8 +618,9 @@ func TestWorkersAutoDecisionTable(t *testing.T) {
 		{"batchable_at_epoch_bar", autoEpochSerialShards, false, EpochAuto, gmp},
 		{"batchable_below_epoch_bar", autoEpochSerialShards - 1, false, EpochAuto, 1},
 		{"batchable_batching_disabled", autoSerialShards - 1, false, 1, 1},
+		{"batchable_one_slot_at_classic_bar", autoSerialShards, false, 1, gmp},
 		{"serial_below_classic_bar", autoSerialShards - 1, true, EpochAuto, 1},
-		{"serial_at_classic_bar", autoSerialShards, true, EpochAuto, gmp},
+		{"serial_at_classic_bar", autoSerialShards, true, EpochAuto, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -628,9 +675,9 @@ func TestBarrierSpinsTunable(t *testing.T) {
 // TestBarrierPureSpinPolicy pins the one spin rule: a barrier waiter
 // spins purely only while the workers inside runs, summed over every
 // engine of the process, number at most min(GOMAXPROCS, NumCPU). Each
-// case starts its engines at once; each reads the rule from a serial
-// ticker on its worker 0 once every engine is inside its run, and all
-// must equal a serial run. The cases with more Ps than CPUs pin the
+// case starts its engines at once; each reads the rule from its
+// component's first fold on worker 0 once every engine is inside its
+// run, and all must equal a serial run. The cases with more Ps than CPUs pin the
 // NumCPU half of the bound. The count falls back to 0 after the runs
 // and after runs whose worker panicked (the poisoned path).
 func TestBarrierPureSpinPolicy(t *testing.T) {
@@ -670,7 +717,7 @@ func TestBarrierPureSpinPolicy(t *testing.T) {
 				pc := NewParallelClock(w)
 				pc.Register(comps[i])
 				probed := false
-				pc.Register(TickerFunc(func(Slot, Phase) {
+				comps[i].onFold = func() {
 					if probed {
 						return
 					}
@@ -680,7 +727,7 @@ func TestBarrierPureSpinPolicy(t *testing.T) {
 					got[i] = spinsPurely()
 					read.Done()
 					read.Wait()
-				}))
+				}
 				done.Add(1)
 				go func() {
 					defer done.Done()
@@ -787,7 +834,7 @@ func BenchmarkTreeBarrierCrossing(b *testing.B) {
 // chunked budgets) through the batched engine against the serial
 // oracle. Specs build a fleet of epoch-safe shardables with varying
 // shard counts and phase masks; one spec bit can add a plain serial
-// ticker, flipping the plan to one-slot episodes — both must match the
+// ticker, which puts the plan on one worker — both must match the
 // oracle exactly.
 func FuzzEpochSchedule(f *testing.F) {
 	f.Add([]byte{0x13, 0x25}, uint8(2), uint8(2), uint8(4), uint8(23), false)
@@ -849,13 +896,15 @@ func FuzzEpochSchedule(f *testing.F) {
 			t.Fatalf("spec=%x w=%d arity=%d K=%d slots=%d serial=%v diverged:\n got %s\nwant %s",
 				spec, w, ar, kk, n, addSerial, got, want)
 		}
-		if !addSerial {
+		if addSerial {
+			if pc.Epochs() != 0 {
+				t.Fatalf("a plan with a plain ticker ran %d episodes on a pool", pc.Epochs())
+			}
+		} else if n-mid >= 2 && pc.Epochs() >= pc.SlotsFired() && pc.SlotsFired() > 2 {
 			// The all-shardable plan must actually have batched (unless a
 			// 1-slot chunk degenerated every episode, which K>=2 and n>=2
 			// avoid for the second chunk when n-mid >= 2).
-			if n-mid >= 2 && pc.Epochs() >= pc.SlotsFired() && pc.SlotsFired() > 2 {
-				t.Fatalf("batchable plan never amortized: epochs=%d fired=%d", pc.Epochs(), pc.SlotsFired())
-			}
+			t.Fatalf("batchable plan never amortized: epochs=%d fired=%d", pc.Epochs(), pc.SlotsFired())
 		}
 	})
 }

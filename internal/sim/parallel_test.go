@@ -13,13 +13,11 @@ func workerCounts() []int {
 	return []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 }
 
-// countingShardable is a Shardable that counts per-shard ticks and
-// accumulates a deterministic checksum in FinishShards.
+// countingShardable is an epoch-safe Shardable that counts per-shard
+// ticks; with no finalizer, a plan of it alone runs on a pool.
 type countingShardable struct {
 	shards int
-	prio   int
 	ticks  []int64 // per shard
-	sum    uint64  // folded serially
 }
 
 func newCountingShardable(shards int) *countingShardable {
@@ -28,15 +26,13 @@ func newCountingShardable(shards int) *countingShardable {
 
 func (c *countingShardable) Tick(t Slot, ph Phase) { SerialTick(c, t, ph) }
 func (c *countingShardable) Shards() int           { return c.shards }
+func (c *countingShardable) EpochSafe() bool       { return true }
 func (c *countingShardable) TickShard(t Slot, ph Phase, s int) {
 	c.ticks[s]++
 }
-func (c *countingShardable) FinishShards(t Slot, ph Phase) {
-	for s, n := range c.ticks {
-		c.sum = c.sum*31 + uint64(s) + uint64(n)
-	}
-}
 
+// TestParallelClockMatchesClockOnPlainTickers: a plan of plain tickers
+// runs on one worker at every worker count, in the one-worker order.
 func TestParallelClockMatchesClockOnPlainTickers(t *testing.T) {
 	for _, w := range workerCounts() {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
@@ -83,29 +79,36 @@ func TestParallelClockRunsEveryShard(t *testing.T) {
 	}
 }
 
+// TestParallelClockStop: a Stop called from a shard in slot 3 ends the
+// run after that slot at every worker count, on a pool of one-slot
+// episodes too. The last shard calls it, so on a pool a worker other
+// than the caller's does.
 func TestParallelClockStop(t *testing.T) {
 	for _, w := range workerCounts() {
 		pc := NewParallelClock(w)
-		pc.Register(newCountingShardable(4)) // force the worker path
-		pc.Register(TickerFunc(func(t Slot, ph Phase) {
-			if t == 3 && ph == PhaseUpdate {
-				pc.Stop()
-			}
-		}))
+		pc.SetEpochBatch(1)
+		ec := newEpochComp(4, MaskAll)
+		ec.stopAt, ec.stopSh, ec.stop = 3, 3, pc.Stop
+		pc.Register(ec)
 		if done := pc.Run(100); done != 4 {
 			t.Fatalf("workers=%d: Stop at slot 3 ran %d slots, want 4", w, done)
 		}
 		if pc.Now() != 4 {
 			t.Fatalf("workers=%d: Now() = %d after stop, want 4", w, pc.Now())
 		}
+		if w > 1 && pc.Epochs() != 4 {
+			t.Fatalf("workers=%d: %d episodes, want 4 on the pool", w, pc.Epochs())
+		}
+		pc.Close()
 	}
 }
 
+// TestParallelClockRunUntil: the predicate is checked between slots at
+// every worker count, so a pool runs one-slot episodes for the call.
 func TestParallelClockRunUntil(t *testing.T) {
 	for _, w := range workerCounts() {
 		pc := NewParallelClock(w)
-		cs := newCountingShardable(4)
-		pc.Register(cs)
+		pc.Register(newEpochComp(4, MaskAll))
 		done, ok := pc.RunUntil(func() bool { return pc.Now() >= 7 }, 100)
 		if !ok || done != 7 {
 			t.Fatalf("workers=%d: RunUntil = (%d,%v), want (7,true)", w, done, ok)
@@ -114,9 +117,16 @@ func TestParallelClockRunUntil(t *testing.T) {
 		if ok || done != 5 {
 			t.Fatalf("workers=%d: exhausted RunUntil = (%d,%v), want (5,false)", w, done, ok)
 		}
+		if w > 1 && pc.Epochs() != 12 {
+			t.Fatalf("workers=%d: %d episodes, want 12 one-slot episodes on the pool", w, pc.Epochs())
+		}
+		pc.Close()
 	}
 }
 
+// TestParallelClockPropagatesPanic: a shard's panic reaches the caller
+// at every worker count — unchanged on one worker, wrapped with its
+// cause on a pool, where the last shard's owner is not the caller.
 func TestParallelClockPropagatesPanic(t *testing.T) {
 	for _, w := range workerCounts() {
 		func() {
@@ -125,19 +135,15 @@ func TestParallelClockPropagatesPanic(t *testing.T) {
 					t.Fatalf("workers=%d: panic in a shard was swallowed", w)
 				} else if !strings.Contains(fmt.Sprint(r), "boom") {
 					t.Fatalf("workers=%d: panic value %v lost the original cause", w, r)
-				} else if w == 1 && r != "boom" {
+				} else if w == 1 && r != "epoch boom" {
 					t.Fatalf("one worker re-raised %#v; the component's own value must reach the caller", r)
 				}
 			}()
 			pc := NewParallelClock(w)
 			pc.Register(newCountingShardable(4))
-			bomb := newCountingShardable(4)
+			bomb := newEpochComp(4, MaskAll)
+			bomb.panicAt, bomb.panicSh = 2, 3
 			pc.Register(bomb)
-			pc.Register(TickerFunc(func(t Slot, ph Phase) {
-				if t == 2 && ph == PhaseConnect {
-					panic("boom")
-				}
-			}))
 			pc.Run(10)
 		}()
 	}
@@ -189,33 +195,36 @@ func TestRegisterPrioStableOrder(t *testing.T) {
 	}
 }
 
-// seqRecorder tags every execution with a global sequence number so the
-// fuzzer can check the barrier ordering invariants after the fact.
+// seqRecord tags every execution with a global sequence number so the
+// fuzzer can check the ordering invariants after the fact.
 type seqRecord struct {
 	seq   uint64
 	slot  Slot
 	ph    Phase
 	prio  int
 	owner int
+	shard int // -1 for a plain ticker
 }
 
 type recordingTicker struct {
 	id      int
 	prio    int
 	counter *atomic.Uint64
-	mu      chan struct{} // 1-buffered: serial tickers need no lock, shards do
+	mu      chan struct{} // 1-buffered: a pool's workers record concurrently
 	out     *[]seqRecord
 }
 
-func (r *recordingTicker) record(t Slot, ph Phase) {
+func (r *recordingTicker) record(t Slot, ph Phase, shard int) {
 	seq := r.counter.Add(1)
 	r.mu <- struct{}{}
-	*r.out = append(*r.out, seqRecord{seq: seq, slot: t, ph: ph, prio: r.prio, owner: r.id})
+	*r.out = append(*r.out, seqRecord{seq: seq, slot: t, ph: ph, prio: r.prio, owner: r.id, shard: shard})
 	<-r.mu
 }
 
-func (r *recordingTicker) Tick(t Slot, ph Phase) { r.record(t, ph) }
+func (r *recordingTicker) Tick(t Slot, ph Phase) { r.record(t, ph, -1) }
 
+// recordingShardable is epoch-safe: each shard records only its own
+// executions (the shared log is the measurement, under its lock).
 type recordingShardable struct {
 	recordingTicker
 	shards int
@@ -223,36 +232,45 @@ type recordingShardable struct {
 
 func (r *recordingShardable) Tick(t Slot, ph Phase)             { SerialTick(r, t, ph) }
 func (r *recordingShardable) Shards() int                       { return r.shards }
-func (r *recordingShardable) TickShard(t Slot, ph Phase, s int) { r.record(t, ph) }
+func (r *recordingShardable) EpochSafe() bool                   { return true }
+func (r *recordingShardable) TickShard(t Slot, ph Phase, s int) { r.record(t, ph, s) }
 func (r *recordingShardable) FinishShards(t Slot, ph Phase)     {}
+func (r *recordingShardable) FinishEpoch(from, to Slot)         {}
 
-// FuzzShardSchedule feeds the parallel engine arbitrary mixes of
-// priorities and shard affinities and asserts the scheduling contract:
-// executions are ordered by (slot, phase, priority band) no matter how
-// shards interleave inside a band.
+// FuzzShardSchedule feeds the engine arbitrary mixes of priorities,
+// shard counts and plain tickers and asserts the scheduling contract
+// after the fact. A plan with a plain ticker, or a one-worker engine,
+// runs the one-worker walk: executions are ordered by (slot, phase,
+// priority band). A pool runs episodes of up to K slots shard-major:
+// every episode's executions precede the next episode's, and each
+// (component, shard) pair runs its slots and phases in order.
 func FuzzShardSchedule(f *testing.F) {
-	f.Add([]byte{0x01, 0x12, 0x23}, uint8(2), uint8(3))
+	f.Add([]byte{0x01, 0x12, 0x23}, uint8(0x0a), uint8(3))
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00}, uint8(4), uint8(2))
 	f.Add([]byte{0x31, 0x10, 0x02, 0x23, 0x11}, uint8(3), uint8(5))
-	f.Add([]byte{0xff}, uint8(1), uint8(1))
+	f.Add([]byte{0xff}, uint8(0x19), uint8(1))
 	f.Fuzz(func(t *testing.T, spec []byte, workers uint8, slots uint8) {
 		if len(spec) == 0 || len(spec) > 24 {
 			t.Skip()
 		}
 		w := int(workers)%8 + 1
+		k := int(workers>>3)%4 + 1
 		nSlots := int64(slots)%6 + 1
 		pc := NewParallelClock(w)
+		pc.SetEpochBatch(k)
+		defer pc.Close()
 		var counter atomic.Uint64
 		mu := make(chan struct{}, 1)
 		var records []seqRecord
-		total := 0
+		total, plain := 0, false
 		for id, b := range spec {
 			prio := int(b>>4) % 4
-			shards := int(b) % 4 // 0 = plain serial ticker
+			shards := int(b) % 4 // 0 = plain ticker
 			base := recordingTicker{id: id, prio: prio, counter: &counter, mu: mu, out: &records}
 			if shards == 0 {
 				pc.RegisterPrio(&base, prio)
 				total += int(nSlots) * int(numPhases)
+				plain = true
 			} else {
 				pc.RegisterPrio(&recordingShardable{recordingTicker: base, shards: shards}, prio)
 				total += int(nSlots) * int(numPhases) * shards
@@ -264,9 +282,6 @@ func FuzzShardSchedule(f *testing.F) {
 		if len(records) != total {
 			t.Fatalf("%d executions recorded, want %d", len(records), total)
 		}
-		// Sort by global sequence number and require (slot, phase, prio)
-		// to be non-decreasing: a violation means a later priority band
-		// (or phase, or slot) ran before an earlier one finished.
 		byHappened := make([]seqRecord, len(records))
 		copy(byHappened, records)
 		for i := 1; i < len(byHappened); i++ {
@@ -274,18 +289,48 @@ func FuzzShardSchedule(f *testing.F) {
 				byHappened[j], byHappened[j-1] = byHappened[j-1], byHappened[j]
 			}
 		}
+		if plain || w == 1 {
+			if pc.Epochs() != 0 {
+				t.Fatalf("a one-worker plan ran %d episodes on a pool", pc.Epochs())
+			}
+			// (slot, phase, prio) must be non-decreasing: a violation means
+			// a later priority band (or phase, or slot) ran before an
+			// earlier one finished.
+			prev := byHappened[0]
+			for _, r := range byHappened[1:] {
+				if r.slot < prev.slot {
+					t.Fatalf("slot %d ticked after slot %d", r.slot, prev.slot)
+				}
+				if r.slot == prev.slot && r.ph < prev.ph {
+					t.Fatalf("slot %d: phase %v ticked after phase %v", r.slot, r.ph, prev.ph)
+				}
+				if r.slot == prev.slot && r.ph == prev.ph && r.prio < prev.prio {
+					t.Fatalf("slot %d phase %v: priority band %d ran after band %d (owner %d after %d)",
+						r.slot, r.ph, r.prio, prev.prio, r.owner, prev.owner)
+				}
+				prev = r
+			}
+			return
+		}
+		if want := (nSlots + int64(k) - 1) / int64(k); pc.Epochs() != want {
+			t.Fatalf("pool ran %d episodes over %d slots at K=%d, want %d", pc.Epochs(), nSlots, k, want)
+		}
+		// Episode i covers slots [i*k, (i+1)*k): nothing of a later
+		// episode may run before an earlier one settles, and a shard
+		// walks its own slots and phases in order.
+		last := map[[2]int]seqRecord{}
 		prev := byHappened[0]
-		for _, r := range byHappened[1:] {
-			if r.slot < prev.slot {
-				t.Fatalf("slot %d ticked after slot %d", r.slot, prev.slot)
+		for i, r := range byHappened {
+			if i > 0 && int(r.slot)/k < int(prev.slot)/k {
+				t.Fatalf("slot %d (episode %d) ran after slot %d (episode %d)",
+					r.slot, int(r.slot)/k, prev.slot, int(prev.slot)/k)
 			}
-			if r.slot == prev.slot && r.ph < prev.ph {
-				t.Fatalf("slot %d: phase %v ticked after phase %v", r.slot, r.ph, prev.ph)
+			key := [2]int{r.owner, r.shard}
+			if l, ok := last[key]; ok && (r.slot < l.slot || r.slot == l.slot && r.ph <= l.ph) {
+				t.Fatalf("component %d shard %d: slot %d phase %v ran after slot %d phase %v",
+					r.owner, r.shard, r.slot, r.ph, l.slot, l.ph)
 			}
-			if r.slot == prev.slot && r.ph == prev.ph && r.prio < prev.prio {
-				t.Fatalf("slot %d phase %v: priority band %d ran after band %d (owner %d after %d)",
-					r.slot, r.ph, r.prio, prev.prio, r.owner, prev.owner)
-			}
+			last[key] = r
 			prev = r
 		}
 	})

@@ -289,12 +289,13 @@ type Engine interface {
 	// SlotsFired reports how many slots actually executed their phase
 	// plans; SlotsRun - SlotsFired is the number of slots skipped.
 	SlotsFired() int64
-	// SetEpochBatch bounds epoch batching: EpochAuto (0, default) lets
-	// the engine batch a batchable plan automatically, 1 disables
-	// batching, k > 1 caps episodes at k slots. Only a worker pool
-	// batches; the one-worker engine runs slot by slot whatever k is.
-	// Off or on, the simulation is bit-identical; only Stop and
-	// skip-ahead granularity change (episode edges instead of slots).
+	// SetEpochBatch bounds a worker pool's episodes: EpochAuto (0,
+	// default) picks the length automatically, 1 makes every episode
+	// one slot long, k > 1 caps episodes at k slots. Only a batchable
+	// plan runs on a pool; the one-worker engine runs slot by slot
+	// whatever k is. At any k the simulation is bit-identical; only Stop
+	// and skip-ahead granularity change (episode edges instead of
+	// slots).
 	SetEpochBatch(k int)
 	Stop()
 	Step()

@@ -55,9 +55,9 @@ func equivWorkers() []int {
 // sweep, dense and skip-ahead; and pinned epoch batches (workers, K,
 // arity), dense and skip-ahead. The sweep already batches wherever the
 // EpochAuto default allows; the pins force shapes the auto path never
-// picks — K = 1 is the per-slot body on plans that could batch — and on
-// plans that cannot batch they re-prove the per-slot body under tuned
-// barriers.
+// picks — K = 1 is one-slot episodes on a pool — and on plans that
+// cannot batch they re-prove that every worker count runs the
+// one-worker walk.
 func engineModes() []engineMode {
 	modes := []engineMode{mode("serial", 1, 0, 0, true)}
 	seen := map[int]bool{}
